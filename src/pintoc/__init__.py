@@ -47,10 +47,8 @@ from .outer import (
     BarrierAugmentation,
     BarrierOptions,
     BarrierReport,
-    admm_augmentation,
     admm_solve,
     assert_strictly_feasible,
-    barrier_augmentation,
     barrier_solve,
     project_box,
 )
@@ -67,7 +65,7 @@ from .passes import (
     propagation_pass,
     rollout_combine,
     value_combine,
-    value_element_init,
+    value_elements,
     value_pass,
 )
 from .problem import (

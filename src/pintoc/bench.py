@@ -215,12 +215,6 @@ def report_cost(report) -> float:
     return report.newton_reports[-1].final_cost if report.newton_reports else 0.0
 
 
-def _report_stats(report) -> tuple[int, int, bool]:
-    if isinstance(report, BarrierReport):
-        return report.outer_iterations, report.inner_iterations, report.converged
-    return report.outer_iterations, report.inner_iterations, report.converged
-
-
 def run_benchmark(config: RunConfig) -> list[BenchmarkRecord]:
     """Timed swing-up solves over the configured horizons and repetitions.
 
@@ -242,10 +236,10 @@ def run_benchmark(config: RunConfig) -> list[BenchmarkRecord]:
                                        horizon, rep, time.perf_counter() - start,
                                        0, 0, False)
             wall = time.perf_counter() - start
-            outer, inner, converged = _report_stats(report)
-            converged = converged and validate_solution(problem, traj, config, report)
+            converged = report.converged and validate_solution(problem, traj, config, report)
             return BenchmarkRecord(config.system, config.solver, config.executor,
-                                   horizon, rep, wall, outer, inner, converged)
+                                   horizon, rep, wall, report.outer_iterations,
+                                   report.inner_iterations, converged)
 
         one_solve(0)  # warm-up, discarded
         for rep in range(config.repetitions):
@@ -367,7 +361,7 @@ def run_mpc(config: RunConfig) -> MpcLog:
         try:
             initial = rollout(dyn, state, warm)
             traj, report = _solve(problem, initial, config)
-            ok = _report_stats(report)[2]
+            ok = report.converged
             plan = traj.controls
         except PintocError:
             ok = False

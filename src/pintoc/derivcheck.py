@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .exceptions import DerivativeCheckError
+from .exceptions import DerivativeCheckError, DimensionError
 from .problem import AugmentedCost, ConstraintModel, CostModel, DynamicsModel
 
 DEFAULT_STEP = 1e-6
@@ -16,17 +17,21 @@ DEFAULT_TOL = 1e-5
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 step: float = DEFAULT_STEP) -> np.ndarray:
-    """Central-difference derivative of ``fn`` with respect to ``x``.
+    """Central-difference derivative of ``fn`` along the last axis of ``x``.
 
     Works for scalar, vector, and matrix valued ``fn``; the differentiation
-    axis is appended last.
+    axis is appended last.  A 2-D ``x`` is a batch of points, one per row:
+    each row is perturbed at once, so ``fn`` must map row ``t`` of its input
+    to row ``t`` of its output alone (as the ``*_batch`` evaluators do), and
+    the result holds one derivative per row.
     """
     x = np.asarray(x, dtype=float)
     base = np.asarray(fn(x), dtype=float)
-    out = np.empty(base.shape + (x.size,))
-    for i in range(x.size):
+    n = x.shape[-1]
+    out = np.empty(base.shape + (n,))
+    for i in range(n):
         dx = np.zeros_like(x)
-        dx[i] = step
+        dx[..., i] = step
         hi = np.asarray(fn(x + dx), dtype=float)
         lo = np.asarray(fn(x - dx), dtype=float)
         out[..., i] = (hi - lo) / (2.0 * step)
@@ -35,17 +40,19 @@ def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 def fd_hessian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                step: float = 1e-4) -> np.ndarray:
-    """Second-order central differences of ``fn``; last two axes index x."""
+    """Second-order central differences of ``fn``; last two axes index the
+    last axis of ``x``, whose rows are independent points as in
+    :func:`fd_jacobian`."""
     x = np.asarray(x, dtype=float)
     base = np.asarray(fn(x), dtype=float)
-    n = x.size
+    n = x.shape[-1]
     out = np.empty(base.shape + (n, n))
     for i in range(n):
         for j in range(i + 1):
             ei = np.zeros_like(x)
             ej = np.zeros_like(x)
-            ei[i] = step
-            ej[j] = step
+            ei[..., i] = step
+            ej[..., j] = step
             val = (
                 np.asarray(fn(x + ei + ej), dtype=float)
                 - np.asarray(fn(x + ei - ej), dtype=float)
@@ -55,6 +62,13 @@ def fd_hessian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
             out[..., i, j] = val
             out[..., j, i] = val
     return out
+
+
+def stack_stages(fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+                 xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Evaluate a per-stage ``fn(t, x, u)`` at every row, stacked by stage."""
+    return np.stack([np.asarray(fn(t, xs[t], us[t]), dtype=float)
+                     for t in range(len(us))])
 
 
 @dataclass(frozen=True)
@@ -82,75 +96,94 @@ class DerivativeReport:
 
 
 def _compare(name: str, analytic, fd, tol: float) -> DerivativeCheck:
+    """Compare stacked derivatives stage by stage (axis 0 indexes stages)."""
     analytic = np.asarray(analytic, dtype=float)
     fd = np.asarray(fd, dtype=float)
-    abs_err = float(np.max(np.abs(analytic - fd))) if analytic.size else 0.0
-    scale = float(np.max(np.abs(fd))) if fd.size else 0.0
-    rel_err = abs_err / max(scale, 1e-12)
+    rows = len(analytic)
+    abs_err = np.max(np.abs(analytic - fd).reshape(rows, -1), axis=1)
+    scale = np.max(np.abs(fd).reshape(rows, -1), axis=1)
+    rel_err = abs_err / np.maximum(scale, 1e-12)
     # pass if close in a scale-aware sense: small derivatives are judged
-    # absolutely, large ones relatively
-    ok = abs_err <= tol * (1.0 + scale)
-    return DerivativeCheck(name, abs_err, rel_err, ok)
+    # absolutely, large ones relatively, each stage on its own scale
+    ok = bool(np.all(abs_err <= tol * (1.0 + scale)))
+    return DerivativeCheck(name, float(abs_err.max()), float(rel_err.max()), ok)
 
 
 def check_derivatives(target, point, tolerance: float = DEFAULT_TOL,
                       step: float = DEFAULT_STEP) -> DerivativeReport:
-    """Validate every analytic derivative of ``target`` at ``point``.
+    """Validate every analytic derivative of ``target`` at every stage of a batch.
 
-    ``point`` is a ``(t, x, u)`` triple.  First derivatives are compared
-    against central differences of the underlying evaluator; second
-    derivatives against central differences of the analytic first
-    derivatives, so one bad level cannot mask another.
+    ``point`` is a pair ``(xs, us)`` of stacked states ``(n, d_x)`` and
+    controls ``(n, d_u)``; row ``t`` is stage ``t``, so a time-varying
+    target needs one row per stage of its horizon.  The ``*_batch``
+    evaluators are checked at all rows in one call.  First derivatives are
+    compared against central differences of the underlying evaluator
+    (the per-stage map ``f`` for dynamics); second derivatives against
+    central differences of the analytic first derivatives, so one bad level
+    cannot mask another.  A cost's terminal derivatives are checked at the
+    last row of ``xs``.  Each stage is judged on its own scale.
 
     Returns the full report, or raises :class:`DerivativeCheckError` naming
     the offending derivatives if any comparison exceeds ``tolerance``.
     """
-    t, x, u = point
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
+    xs, us = (np.asarray(a, dtype=float) for a in point)
+    if xs.ndim != 2 or us.ndim != 2 or len(xs) != len(us) or not len(us):
+        raise DimensionError(
+            f"need stacked (n, d_x) states and (n, d_u) controls with n >= 1, "
+            f"got shapes {xs.shape} and {us.shape}")
     checks: list[DerivativeCheck] = []
+
+    def jac_x(fn):
+        return fd_jacobian(lambda xx: fn(xx, us), xs, step)
+
+    def jac_u(fn):
+        return fd_jacobian(lambda uu: fn(xs, uu), us, step)
 
     if isinstance(target, DynamicsModel):
         m = target
+        f = partial(stack_stages, m.f)
         checks += [
-            _compare("fx", m.fx(t, x, u), fd_jacobian(lambda xx: m.f(t, xx, u), x, step), tolerance),
-            _compare("fu", m.fu(t, x, u), fd_jacobian(lambda uu: m.f(t, x, uu), u, step), tolerance),
-            _compare("fxx", m.fxx(t, x, u), fd_jacobian(lambda xx: m.fx(t, xx, u), x, step), tolerance),
-            _compare("fuu", m.fuu(t, x, u), fd_jacobian(lambda uu: m.fu(t, x, uu), u, step), tolerance),
-            _compare("fxu", m.fxu(t, x, u),
-                     np.swapaxes(fd_jacobian(lambda xx: m.fu(t, xx, u), x, step), 1, 2), tolerance),
+            _compare("fx", m.fx_batch(xs, us), jac_x(f), tolerance),
+            _compare("fu", m.fu_batch(xs, us), jac_u(f), tolerance),
+            _compare("fxx", m.fxx_batch(xs, us), jac_x(m.fx_batch), tolerance),
+            _compare("fuu", m.fuu_batch(xs, us), jac_u(m.fu_batch), tolerance),
+            _compare("fxu", m.fxu_batch(xs, us),
+                     np.swapaxes(jac_x(m.fu_batch), -1, -2), tolerance),
         ]
     elif isinstance(target, CostModel):
         m = target
+        x_end = xs[-1]
         checks += [
-            _compare("lx", m.lx(t, x, u), fd_jacobian(lambda xx: m.l(t, xx, u), x, step), tolerance),
-            _compare("lu", m.lu(t, x, u), fd_jacobian(lambda uu: m.l(t, x, uu), u, step), tolerance),
-            _compare("lxx", m.lxx(t, x, u), fd_jacobian(lambda xx: m.lx(t, xx, u), x, step), tolerance),
-            _compare("luu", m.luu(t, x, u), fd_jacobian(lambda uu: m.lu(t, x, uu), u, step), tolerance),
-            _compare("lxu", m.lxu(t, x, u), fd_jacobian(lambda uu: m.lx(t, x, uu), u, step), tolerance),
-            _compare("terminal_x", m.terminal_x(x), fd_jacobian(m.terminal, x, step), tolerance),
-            _compare("terminal_xx", m.terminal_xx(x), fd_jacobian(m.terminal_x, x, step), tolerance),
+            _compare("lx", m.lx_batch(xs, us), jac_x(m.l_batch), tolerance),
+            _compare("lu", m.lu_batch(xs, us), jac_u(m.l_batch), tolerance),
+            _compare("lxx", m.lxx_batch(xs, us), jac_x(m.lx_batch), tolerance),
+            _compare("luu", m.luu_batch(xs, us), jac_u(m.lu_batch), tolerance),
+            _compare("lxu", m.lxu_batch(xs, us), jac_u(m.lx_batch), tolerance),
+            _compare("terminal_x", [m.terminal_x(x_end)],
+                     [fd_jacobian(m.terminal, x_end, step)], tolerance),
+            _compare("terminal_xx", [m.terminal_xx(x_end)],
+                     [fd_jacobian(m.terminal_x, x_end, step)], tolerance),
         ]
     elif isinstance(target, AugmentedCost):
         m = target
         checks += [
-            _compare("cx", m.cx(t, x, u), fd_jacobian(lambda xx: m.c(t, xx, u), x, step), tolerance),
-            _compare("cu", m.cu(t, x, u), fd_jacobian(lambda uu: m.c(t, x, uu), u, step), tolerance),
-            _compare("cxx", m.cxx(t, x, u), fd_jacobian(lambda xx: m.cx(t, xx, u), x, step), tolerance),
-            _compare("cuu", m.cuu(t, x, u), fd_jacobian(lambda uu: m.cu(t, x, uu), u, step), tolerance),
-            _compare("cxu", m.cxu(t, x, u), fd_jacobian(lambda uu: m.cx(t, x, uu), u, step), tolerance),
+            _compare("cx", m.cx_batch(xs, us), jac_x(m.c_batch), tolerance),
+            _compare("cu", m.cu_batch(xs, us), jac_u(m.c_batch), tolerance),
+            _compare("cxx", m.cxx_batch(xs, us), jac_x(m.cx_batch), tolerance),
+            _compare("cuu", m.cuu_batch(xs, us), jac_u(m.cu_batch), tolerance),
+            _compare("cxu", m.cxu_batch(xs, us), jac_u(m.cx_batch), tolerance),
         ]
     elif isinstance(target, ConstraintModel):
         m = target
         if m.n_state:
             checks += [
-                _compare("gx", m.gx(t, x), fd_jacobian(lambda xx: m.g(t, xx), x, step), tolerance),
-                _compare("gxx", m.gxx(t, x), fd_jacobian(lambda xx: m.gx(t, xx), x, step), tolerance),
+                _compare("gx", m.gx_batch(xs), fd_jacobian(m.g_batch, xs, step), tolerance),
+                _compare("gxx", m.gxx_batch(xs), fd_jacobian(m.gx_batch, xs, step), tolerance),
             ]
         if m.n_control:
             checks += [
-                _compare("hu", m.hu(t, u), fd_jacobian(lambda uu: m.h(t, uu), u, step), tolerance),
-                _compare("huu", m.huu(t, u), fd_jacobian(lambda uu: m.hu(t, uu), u, step), tolerance),
+                _compare("hu", m.hu_batch(us), fd_jacobian(m.h_batch, us, step), tolerance),
+                _compare("huu", m.huu_batch(us), fd_jacobian(m.hu_batch, us, step), tolerance),
             ]
     else:
         raise TypeError(f"cannot check derivatives of {type(target).__name__}")

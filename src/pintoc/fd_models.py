@@ -1,9 +1,10 @@
 """Finite-difference implementations of the model interfaces.
 
-These wrap plain callables so arbitrary user functions can be plugged into
-the solvers without hand-deriving Jacobians and Hessians.  They trade
-accuracy and speed for convenience and are intended for prototyping and
-tests; the shipped benchmark systems provide analytic derivatives.
+These wrap plain per-stage callables so arbitrary user functions can be
+plugged into the solvers without hand-deriving Jacobians and Hessians.  The
+batched derivatives difference the callable evaluated at every stage.  They
+trade accuracy and speed for convenience and are intended for prototyping
+and tests; the shipped benchmark systems provide analytic derivatives.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .derivcheck import fd_hessian, fd_jacobian
+from .derivcheck import fd_hessian, fd_jacobian, stack_stages
 from .problem import CostModel, DynamicsModel
 
 
@@ -30,22 +31,25 @@ class FiniteDiffDynamics(DynamicsModel):
     def f(self, t, x, u):
         return np.asarray(self._fn(t, x, u), dtype=float)
 
-    def fx(self, t, x, u):
-        return fd_jacobian(lambda xx: self._fn(t, xx, u), x, self._step)
+    def _map(self, xs, us):
+        return stack_stages(self._fn, xs, us)
 
-    def fu(self, t, x, u):
-        return fd_jacobian(lambda uu: self._fn(t, x, uu), u, self._step)
+    def fx_batch(self, xs, us):
+        return fd_jacobian(lambda xx: self._map(xx, us), xs, self._step)
 
-    def fxx(self, t, x, u):
-        return fd_hessian(lambda xx: self._fn(t, xx, u), x, self._hess_step)
+    def fu_batch(self, xs, us):
+        return fd_jacobian(lambda uu: self._map(xs, uu), us, self._step)
 
-    def fuu(self, t, x, u):
-        return fd_hessian(lambda uu: self._fn(t, x, uu), u, self._hess_step)
+    def fxx_batch(self, xs, us):
+        return fd_hessian(lambda xx: self._map(xx, us), xs, self._hess_step)
 
-    def fxu(self, t, x, u):
+    def fuu_batch(self, xs, us):
+        return fd_hessian(lambda uu: self._map(xs, uu), us, self._hess_step)
+
+    def fxu_batch(self, xs, us):
         h = self._hess_step
-        jac_u = lambda xx: fd_jacobian(lambda uu: self._fn(t, xx, uu), u, h)
-        return np.swapaxes(fd_jacobian(jac_u, x, h), 1, 2)
+        jac_u = lambda xx: fd_jacobian(lambda uu: self._map(xx, uu), us, h)
+        return np.swapaxes(fd_jacobian(jac_u, xs, h), -1, -2)
 
 
 class FiniteDiffCost(CostModel):
@@ -59,25 +63,25 @@ class FiniteDiffCost(CostModel):
         self._step = step
         self._hess_step = hess_step
 
-    def l(self, t, x, u):
-        return float(self._stage(t, x, u))
+    def l_batch(self, xs, us):
+        return stack_stages(self._stage, xs, us)
 
-    def lx(self, t, x, u):
-        return fd_jacobian(lambda xx: self._stage(t, xx, u), x, self._step)
+    def lx_batch(self, xs, us):
+        return fd_jacobian(lambda xx: self.l_batch(xx, us), xs, self._step)
 
-    def lu(self, t, x, u):
-        return fd_jacobian(lambda uu: self._stage(t, x, uu), u, self._step)
+    def lu_batch(self, xs, us):
+        return fd_jacobian(lambda uu: self.l_batch(xs, uu), us, self._step)
 
-    def lxx(self, t, x, u):
-        return fd_hessian(lambda xx: self._stage(t, xx, u), x, self._hess_step)
+    def lxx_batch(self, xs, us):
+        return fd_hessian(lambda xx: self.l_batch(xx, us), xs, self._hess_step)
 
-    def luu(self, t, x, u):
-        return fd_hessian(lambda uu: self._stage(t, x, uu), u, self._hess_step)
+    def luu_batch(self, xs, us):
+        return fd_hessian(lambda uu: self.l_batch(xs, uu), us, self._hess_step)
 
-    def lxu(self, t, x, u):
+    def lxu_batch(self, xs, us):
         h = self._hess_step
-        grad_x = lambda uu: fd_jacobian(lambda xx: self._stage(t, xx, uu), x, h)
-        return fd_jacobian(grad_x, u, h)
+        grad_x = lambda uu: fd_jacobian(lambda xx: self.l_batch(xx, uu), xs, h)
+        return fd_jacobian(grad_x, us, h)
 
     def terminal(self, x):
         return float(self._term(x))

@@ -44,63 +44,7 @@ class BarrierAugmentation(AugmentedCost):
         self.constraints = constraints
         self.mu = float(mu)
 
-    def _checked(self, t: int, values: np.ndarray, offset: int) -> np.ndarray:
-        bad = np.flatnonzero(values >= 0)
-        if bad.size:
-            comp = int(bad[0])
-            raise InfeasibleError(t, comp + offset, float(values[comp]))
-        return values
-
-    def c(self, t, x, u):
-        con = self.constraints
-        g = self._checked(t, con.g(t, x), 0)
-        h = self._checked(t, con.h(t, u), con.n_state)
-        total = 0.0
-        if g.size:
-            total += float(np.sum(np.log(-g)))
-        if h.size:
-            total += float(np.sum(np.log(-h)))
-        return -self.mu * total
-
-    def cx(self, t, x, u):
-        con = self.constraints
-        g = self._checked(t, con.g(t, x), 0)
-        if not g.size:
-            return np.zeros(len(x))
-        return -self.mu * (con.gx(t, x).T @ (1.0 / g))
-
-    def cu(self, t, x, u):
-        con = self.constraints
-        h = self._checked(t, con.h(t, u), con.n_state)
-        if not h.size:
-            return np.zeros(len(u))
-        return -self.mu * (con.hu(t, u).T @ (1.0 / h))
-
-    def cxx(self, t, x, u):
-        con = self.constraints
-        g = self._checked(t, con.g(t, x), 0)
-        if not g.size:
-            return np.zeros((len(x), len(x)))
-        jac = con.gx(t, x)
-        scaled = jac / g[:, None]
-        return self.mu * (scaled.T @ scaled - np.tensordot(1.0 / g, con.gxx(t, x), axes=1))
-
-    def cuu(self, t, x, u):
-        con = self.constraints
-        h = self._checked(t, con.h(t, u), con.n_state)
-        if not h.size:
-            return np.zeros((len(u), len(u)))
-        jac = con.hu(t, u)
-        scaled = jac / h[:, None]
-        return self.mu * (scaled.T @ scaled - np.tensordot(1.0 / h, con.huu(t, u), axes=1))
-
-    def cxu(self, t, x, u):
-        # g depends on x only and h on u only, so the cross term vanishes
-        return np.zeros((len(x), len(u)))
-
-    # vectorized batch path used by the passes
-
-    def _checked_batch(self, values: np.ndarray, offset: int) -> np.ndarray:
+    def _checked(self, values: np.ndarray, offset: int) -> np.ndarray:
         if values.size and values.max() >= 0:
             stages, comps = np.nonzero(values >= 0)
             t, comp = int(stages[0]), int(comps[0])
@@ -109,8 +53,8 @@ class BarrierAugmentation(AugmentedCost):
 
     def c_batch(self, xs, us):
         con = self.constraints
-        g = self._checked_batch(con.g_batch(xs), 0)
-        h = self._checked_batch(con.h_batch(us), con.n_state)
+        g = self._checked(con.g_batch(xs), 0)
+        h = self._checked(con.h_batch(us), con.n_state)
         total = np.zeros(len(us))
         if g.size:
             total += np.sum(np.log(-g), axis=1)
@@ -120,21 +64,21 @@ class BarrierAugmentation(AugmentedCost):
 
     def cx_batch(self, xs, us):
         con = self.constraints
-        g = self._checked_batch(con.g_batch(xs), 0)
+        g = self._checked(con.g_batch(xs), 0)
         if not g.size:
             return np.zeros(xs.shape)
         return -self.mu * np.einsum("tmi,tm->ti", con.gx_batch(xs), 1.0 / g)
 
     def cu_batch(self, xs, us):
         con = self.constraints
-        h = self._checked_batch(con.h_batch(us), con.n_state)
+        h = self._checked(con.h_batch(us), con.n_state)
         if not h.size:
             return np.zeros(us.shape)
         return -self.mu * np.einsum("tmi,tm->ti", con.hu_batch(us), 1.0 / h)
 
     def cxx_batch(self, xs, us):
         con = self.constraints
-        g = self._checked_batch(con.g_batch(xs), 0)
+        g = self._checked(con.g_batch(xs), 0)
         d_x = xs.shape[1]
         if not g.size:
             return np.zeros((len(us), d_x, d_x))
@@ -144,7 +88,7 @@ class BarrierAugmentation(AugmentedCost):
 
     def cuu_batch(self, xs, us):
         con = self.constraints
-        h = self._checked_batch(con.h_batch(us), con.n_state)
+        h = self._checked(con.h_batch(us), con.n_state)
         d_u = us.shape[1]
         if not h.size:
             return np.zeros((len(us), d_u, d_u))
@@ -153,20 +97,18 @@ class BarrierAugmentation(AugmentedCost):
                           - np.einsum("tm,tmij->tij", 1.0 / h, con.huu_batch(us)))
 
     def cxu_batch(self, xs, us):
+        # g depends on x only and h on u only, so the cross term vanishes
         return np.zeros((len(us), xs.shape[1], us.shape[1]))
 
 
-def barrier_augmentation(constraints: ConstraintModel, mu: float) -> BarrierAugmentation:
-    return BarrierAugmentation(constraints, mu)
+def _stack_w(constraints: ConstraintModel, traj: Trajectory) -> np.ndarray:
+    return constraints.w_batch(traj.states[:-1], traj.controls)
 
 
 def assert_strictly_feasible(constraints: ConstraintModel, traj: Trajectory) -> None:
     """Raise with a list of violated components unless all w(x, u) < 0."""
-    violations = []
-    for t in range(traj.horizon):
-        wt = constraints.w(t, traj.states[t], traj.controls[t])
-        for comp in np.flatnonzero(wt >= 0):
-            violations.append((t, int(comp), float(wt[comp])))
+    w = _stack_w(constraints, traj)
+    violations = [(int(t), int(c), float(w[t, c])) for t, c in zip(*np.nonzero(w >= 0))]
     if violations:
         listing = "; ".join(
             f"stage {t} component {c}: {v:.6g}" for t, c, v in violations[:10]
@@ -265,81 +207,43 @@ class AdmmAugmentation(AugmentedCost):
         if self.z.shape != self.v.shape:
             raise ValueError("z and v must have matching shapes")
 
-    def _residual(self, t, x, u):
-        return self.constraints.w(t, x, u) - self.z[t] + self.v[t] / self.rho
-
-    def c(self, t, x, u):
-        res = self._residual(t, x, u)
-        return 0.5 * self.rho * float(res @ res)
-
-    def cx(self, t, x, u):
-        res = self._residual(t, x, u)[: self.constraints.n_state]
-        return self.rho * (self.constraints.gx(t, x).T @ res)
-
-    def cu(self, t, x, u):
-        res = self._residual(t, x, u)[self.constraints.n_state:]
-        return self.rho * (self.constraints.hu(t, u).T @ res)
-
-    def cxx(self, t, x, u):
-        con = self.constraints
-        res = self._residual(t, x, u)[: con.n_state]
-        jac = con.gx(t, x)
-        return self.rho * (jac.T @ jac + np.tensordot(res, con.gxx(t, x), axes=1))
-
-    def cuu(self, t, x, u):
-        con = self.constraints
-        res = self._residual(t, x, u)[con.n_state:]
-        jac = con.hu(t, u)
-        return self.rho * (jac.T @ jac + np.tensordot(res, con.huu(t, u), axes=1))
-
-    def cxu(self, t, x, u):
-        # w components depend on x or on u, never both
-        return np.zeros((len(x), len(u)))
-
-    # vectorized batch path used by the passes
-
-    def _residual_batch(self, xs, us):
+    def _residual(self, xs, us):
         return self.constraints.w_batch(xs, us) - self.z + self.v / self.rho
 
     def c_batch(self, xs, us):
-        res = self._residual_batch(xs, us)
+        res = self._residual(xs, us)
         return 0.5 * self.rho * np.sum(res * res, axis=1)
 
     def cx_batch(self, xs, us):
         con = self.constraints
-        res = self._residual_batch(xs, us)[:, : con.n_state]
+        res = self._residual(xs, us)[:, : con.n_state]
         return self.rho * np.einsum("tmi,tm->ti", con.gx_batch(xs), res)
 
     def cu_batch(self, xs, us):
         con = self.constraints
-        res = self._residual_batch(xs, us)[:, con.n_state:]
+        res = self._residual(xs, us)[:, con.n_state:]
         return self.rho * np.einsum("tmi,tm->ti", con.hu_batch(us), res)
 
     def cxx_batch(self, xs, us):
         con = self.constraints
-        res = self._residual_batch(xs, us)[:, : con.n_state]
+        res = self._residual(xs, us)[:, : con.n_state]
         jac = con.gx_batch(xs)
         return self.rho * (np.einsum("tmi,tmj->tij", jac, jac)
                            + np.einsum("tm,tmij->tij", res, con.gxx_batch(xs)))
 
     def cuu_batch(self, xs, us):
         con = self.constraints
-        res = self._residual_batch(xs, us)[:, con.n_state:]
+        res = self._residual(xs, us)[:, con.n_state:]
         jac = con.hu_batch(us)
         return self.rho * (np.einsum("tmi,tmj->tij", jac, jac)
                            + np.einsum("tm,tmij->tij", res, con.huu_batch(us)))
 
     def cxu_batch(self, xs, us):
+        # w components depend on x or on u, never both
         return np.zeros((len(us), xs.shape[1], us.shape[1]))
 
 
-def admm_augmentation(constraints: ConstraintModel, rho: float,
-                      z: np.ndarray, v: np.ndarray) -> AdmmAugmentation:
-    return AdmmAugmentation(constraints, rho, z, v)
-
-
-def project_box(point: np.ndarray, constraints: ConstraintModel | None = None
-                ) -> np.ndarray:
+def project_box(point: np.ndarray) -> np.ndarray:
     """Euclidean projection onto ``{y <= 0}``: a componentwise clamp.
 
     The one-sided stacking of box constraints makes the consensus set the
@@ -385,10 +289,6 @@ class AdmmReport:
         return sum(r.iterations for r in self.newton_reports)
 
 
-def _stack_w(constraints: ConstraintModel, traj: Trajectory) -> np.ndarray:
-    return constraints.w_batch(traj.states[:-1], traj.controls)
-
-
 def admm_solve(problem: ControlProblem, initial: Trajectory,
                opts: AdmmOptions | None = None) -> tuple[Trajectory, AdmmReport]:
     """Operator splitting between the trajectory and a clamped consensus.
@@ -406,7 +306,7 @@ def admm_solve(problem: ControlProblem, initial: Trajectory,
     con = problem.constraints
 
     traj = initial
-    z = project_box(_stack_w(con, traj), con)
+    z = project_box(_stack_w(con, traj))
     v = np.zeros_like(z)
     residuals: list[tuple[float, float]] = []
     reports: list[NewtonReport] = []
@@ -417,7 +317,7 @@ def admm_solve(problem: ControlProblem, initial: Trajectory,
         reports.append(nrep)
         w_val = _stack_w(con, traj)
         z_prev = z
-        z = project_box(w_val + v / opts.rho, con)
+        z = project_box(w_val + v / opts.rho)
         v = v + opts.rho * (w_val - z)
         r_p = float(np.max(np.abs(w_val - z))) if z.size else 0.0
         r_d = float(np.max(np.abs(z - z_prev))) if z.size else 0.0

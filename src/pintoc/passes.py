@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import ConditioningError, DefinitenessError
 from .problem import AugmentedCost, CostModel, DynamicsModel, Trajectory
@@ -189,45 +188,6 @@ def hamiltonian_expansion(traj: Trajectory, costates: np.ndarray, cost: CostMode
 # value pass
 # ---------------------------------------------------------------------------
 
-def value_element_init(exp: StageExpansion, t: int) -> ValueElement:
-    """Dual-form value element for stage ``t`` (``t == N`` gives the boundary).
-
-    The single-stage dual parameters reduce to
-
-        A = Fx - Fu Rr^-1 M^T,   Y = P - M Rr^-1 M^T,
-        C = Fu Rr^-1 Fu^T,       eta = M Rr^-1 d,     b = -Fu Rr^-1 d,
-
-    with ``Rr = R + alpha*I``.  This is the feedforward form written without
-    any inverse of P, which need not exist at a poor nominal.
-
-    Raises:
-        DefinitenessError: if ``Rr`` fails its Cholesky factorization, which
-            signals that the regularization is too small.
-    """
-    n = exp.horizon
-    if t == n:
-        z = np.zeros((exp.d_x, exp.d_x))
-        return ValueElement(A=z, Y=exp.P_terminal.copy(), C=z.copy(),
-                            eta=np.zeros(exp.d_x), b=np.zeros(exp.d_x))
-    if not 0 <= t < n:
-        raise IndexError(f"stage {t} outside 0..{n}")
-    try:
-        chol = cho_factor(exp.R_reg[t], lower=True)
-    except np.linalg.LinAlgError as err:
-        raise DefinitenessError(t, "R + alpha*I") from err
-    Fx, Fu, M, P, d = exp.Fx[t], exp.Fu[t], exp.M[t], exp.P[t], exp.d[t]
-    Ri_Mt = cho_solve(chol, M.T)      # Rr^-1 M^T
-    Ri_Fut = cho_solve(chol, Fu.T)    # Rr^-1 Fu^T
-    Ri_d = cho_solve(chol, d)         # Rr^-1 d
-    return ValueElement(
-        A=Fx - Fu @ Ri_Mt,
-        Y=_sym(P - M @ Ri_Mt),
-        C=_sym(Fu @ Ri_Fut),
-        eta=M @ Ri_d,
-        b=-Fu @ Ri_d,
-    )
-
-
 def _assert_spd_batch(mats: np.ndarray, what: str) -> None:
     """Batched positive-definiteness gate; names the failing stage."""
     try:
@@ -241,8 +201,23 @@ def _assert_spd_batch(mats: np.ndarray, what: str) -> None:
         raise
 
 
-def _value_elements(exp: StageExpansion) -> list[ValueElement]:
-    """All N+1 dual elements at once (vectorized value_element_init)."""
+def value_elements(exp: StageExpansion) -> list[ValueElement]:
+    """Dual-form value elements of all stages; element ``N`` is the boundary.
+
+    The single-stage dual parameters reduce to
+
+        A = Fx - Fu Rr^-1 M^T,   Y = P - M Rr^-1 M^T,
+        C = Fu Rr^-1 Fu^T,       eta = M Rr^-1 d,     b = -Fu Rr^-1 d,
+
+    with ``Rr = R + alpha*I``.  This is the feedforward form written without
+    any inverse of P, which need not exist at a poor nominal.  The boundary
+    element carries the terminal Hessian in ``Y`` and zeros elsewhere.
+
+    Raises:
+        DefinitenessError: naming the first stage whose ``Rr`` fails its
+            Cholesky factorization, which signals that the regularization is
+            too small.
+    """
     n, d_x = exp.horizon, exp.d_x
     _assert_spd_batch(exp.R_reg, "R + alpha*I")
     Mt = np.swapaxes(exp.M, 1, 2)
@@ -305,7 +280,7 @@ def value_pass(exp: StageExpansion, executor: str = SEQUENTIAL,
         DefinitenessError: if some ``Q_t`` is not positive definite.
     """
     n, d_x = exp.horizon, exp.d_x
-    elements = _value_elements(exp)
+    elements = value_elements(exp)
     suffix = scan(elements, value_combine, ScanDirection.REVERSE, executor,
                   parallel_threshold=parallel_threshold)
     S = np.empty((n + 1, d_x, d_x))

@@ -2,9 +2,12 @@
 
 A discrete-time control problem is described by three model objects
 (dynamics, cost, constraints) plus an optional cost augmentation (log-barrier
-or consensus penalty) supplied by an outer solver.  All evaluators take the
-stage index ``t`` first so time-varying problems are expressible; every
-object is immutable after construction and safe to share across workers.
+or consensus penalty) supplied by an outer solver.  Values and derivatives
+are evaluated over all stages at once by the ``*_batch`` evaluators, whose
+row ``t`` is stage ``t``, so time-varying problems are expressible; only the
+dynamics map ``f(t, x, u)`` (for the sequential rollout) and the terminal
+cost take a single point.  Every object is immutable after construction and
+safe to share across workers.
 """
 
 from __future__ import annotations
@@ -59,8 +62,13 @@ class Trajectory:
 class DynamicsModel(abc.ABC):
     """Discrete map ``x_{t+1} = f_t(x_t, u_t)`` with analytic derivatives.
 
-    Hessians use the output-component-first layout: ``fxx(t, x, u)[k]`` is
-    the symmetric matrix of second derivatives of output component ``k``.
+    The derivatives are evaluated over all stages at once: each ``*_batch``
+    method takes stacked states ``xs`` and controls ``us`` and returns one
+    row per stage, row ``t`` being stage ``t``.  Hessians use the
+    output-component-first layout: ``fxx_batch(xs, us)[t, k]`` is the
+    symmetric matrix of second derivatives of output component ``k`` at
+    stage ``t``.  The map itself, ``f(t, x, u)``, is evaluated one stage at
+    a time by the sequential rollout.
     """
 
     horizon: int
@@ -78,61 +86,52 @@ class DynamicsModel(abc.ABC):
     def f(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def fx(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def fu(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def fxx(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def fuu(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def fxu(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
-
-    # Batch evaluation over all stages at once (row index == stage index).
-    # The defaults loop over the per-stage evaluators; concrete models may
-    # override them with vectorized versions, which the passes exploit.
-
     def fx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.fx(t, xs[t], us[t]) for t in range(len(us))])
+        """Jacobians in x, shape (N, d_x, d_x)."""
 
+    @abc.abstractmethod
     def fu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.fu(t, xs[t], us[t]) for t in range(len(us))])
+        """Jacobians in u, shape (N, d_x, d_u)."""
 
+    @abc.abstractmethod
     def fxx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.fxx(t, xs[t], us[t]) for t in range(len(us))])
+        """Hessians in x, shape (N, d_x, d_x, d_x)."""
 
+    @abc.abstractmethod
     def fuu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.fuu(t, xs[t], us[t]) for t in range(len(us))])
+        """Hessians in u, shape (N, d_x, d_u, d_u)."""
 
+    @abc.abstractmethod
     def fxu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.fxu(t, xs[t], us[t]) for t in range(len(us))])
+        """Cross second derivatives, shape (N, d_x, d_x, d_u)."""
 
 
 class CostModel(abc.ABC):
-    """Stage cost ``l_t(x, u)`` and terminal cost with analytic derivatives."""
+    """Stage cost ``l_t(x, u)`` and terminal cost with analytic derivatives.
+
+    Stage values and derivatives are batched over stages like those of
+    :class:`DynamicsModel`; the terminal cost is evaluated at one state.
+    """
 
     @abc.abstractmethod
-    def l(self, t: int, x: np.ndarray, u: np.ndarray) -> float: ...
+    def l_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """Stage costs, shape (N,)."""
 
     @abc.abstractmethod
-    def lx(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
+    def lx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def lu(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
+    def lu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def lxx(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
+    def lxx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def luu(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
+    def luu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def lxu(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Cross second derivative, shape (d_x, d_u)."""
+    def lxu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """Cross second derivatives, shape (N, d_x, d_u)."""
 
     @abc.abstractmethod
     def terminal(self, x: np.ndarray) -> float: ...
@@ -143,32 +142,13 @@ class CostModel(abc.ABC):
     @abc.abstractmethod
     def terminal_xx(self, x: np.ndarray) -> np.ndarray: ...
 
-    # batch counterparts, overridable with vectorized implementations
-
-    def l_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.array([self.l(t, xs[t], us[t]) for t in range(len(us))])
-
-    def lx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.lx(t, xs[t], us[t]) for t in range(len(us))])
-
-    def lu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.lu(t, xs[t], us[t]) for t in range(len(us))])
-
-    def lxx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.lxx(t, xs[t], us[t]) for t in range(len(us))])
-
-    def luu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.luu(t, xs[t], us[t]) for t in range(len(us))])
-
-    def lxu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.lxu(t, xs[t], us[t]) for t in range(len(us))])
-
 
 class ConstraintModel(abc.ABC):
     """Stage inequality constraints, satisfied when every component is <= 0.
 
     State constraints ``g_t(x)`` and control constraints ``h_t(u)`` are kept
-    separate; ``w(t, x, u)`` stacks them as ``[g; h]``.  Per-component
+    separate and batched over stages (row ``t`` is stage ``t``);
+    ``w_batch(xs, us)`` stacks them as ``[g; h]`` in each row.  Per-component
     Hessians use the component-first layout like :class:`DynamicsModel`.
     """
 
@@ -176,42 +156,22 @@ class ConstraintModel(abc.ABC):
     n_control: int  # number of h components (m_h)
 
     @abc.abstractmethod
-    def g(self, t: int, x: np.ndarray) -> np.ndarray: ...
+    def g_batch(self, xs: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def gx(self, t: int, x: np.ndarray) -> np.ndarray: ...
+    def gx_batch(self, xs: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def gxx(self, t: int, x: np.ndarray) -> np.ndarray: ...
+    def gxx_batch(self, xs: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def h(self, t: int, u: np.ndarray) -> np.ndarray: ...
+    def h_batch(self, us: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def hu(self, t: int, u: np.ndarray) -> np.ndarray: ...
+    def hu_batch(self, us: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def huu(self, t: int, u: np.ndarray) -> np.ndarray: ...
-
-    # batch counterparts, overridable with vectorized implementations
-
-    def g_batch(self, xs: np.ndarray) -> np.ndarray:
-        return np.stack([self.g(t, xs[t]) for t in range(len(xs))])
-
-    def gx_batch(self, xs: np.ndarray) -> np.ndarray:
-        return np.stack([self.gx(t, xs[t]) for t in range(len(xs))])
-
-    def gxx_batch(self, xs: np.ndarray) -> np.ndarray:
-        return np.stack([self.gxx(t, xs[t]) for t in range(len(xs))])
-
-    def h_batch(self, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.h(t, us[t]) for t in range(len(us))])
-
-    def hu_batch(self, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.hu(t, us[t]) for t in range(len(us))])
-
-    def huu_batch(self, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.huu(t, us[t]) for t in range(len(us))])
+    def huu_batch(self, us: np.ndarray) -> np.ndarray: ...
 
     def w_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
         return np.concatenate([self.g_batch(xs[:len(us)]), self.h_batch(us)], axis=1)
@@ -219,9 +179,6 @@ class ConstraintModel(abc.ABC):
     @property
     def n_total(self) -> int:
         return self.n_state + self.n_control
-
-    def w(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.g(t, x), self.h(t, u)])
 
     def max_violation(self, traj: Trajectory) -> float:
         """Largest constraint value over all stages (<= 0 means feasible)."""
@@ -278,32 +235,6 @@ class BoxConstraint(ConstraintModel):
         arr = np.broadcast_to(np.asarray(value, dtype=float), (dim,))
         return _frozen(arr)
 
-    def g(self, t, x):
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([
-            x[self._gu] - self.state_upper[self._gu],
-            self.state_lower[self._gl] - x[self._gl],
-        ])
-
-    def gx(self, t, x):
-        return self._gx
-
-    def gxx(self, t, x):
-        return np.zeros((self.n_state, self.d_x, self.d_x))
-
-    def h(self, t, u):
-        u = np.asarray(u, dtype=float)
-        return np.concatenate([
-            u[self._hu] - self.control_upper[self._hu],
-            self.control_lower[self._hl] - u[self._hl],
-        ])
-
-    def hu(self, t, u):
-        return self._hu_jac
-
-    def huu(self, t, u):
-        return np.zeros((self.n_control, self.d_u, self.d_u))
-
     def g_batch(self, xs):
         xs = np.asarray(xs, dtype=float)
         return np.concatenate([
@@ -343,74 +274,38 @@ class BoxConstraint(ConstraintModel):
 class AugmentedCost(abc.ABC):
     """Extra per-stage cost ``c_t(x, u)`` added by an outer solver.
 
-    ``variant`` identifies the flavor: ``"zero"``, ``"barrier"`` (log-barrier
-    with parameter mu, defined only on the strict interior) or ``"admm"``
-    (quadratic consensus penalty with parameters rho, z, v).
+    Values and derivatives are batched over stages like those of
+    :class:`CostModel`.  ``variant`` identifies the flavor: ``"zero"``,
+    ``"barrier"`` (log-barrier with parameter mu, defined only on the strict
+    interior) or ``"admm"`` (quadratic consensus penalty with parameters
+    rho, z, v).
     """
 
     variant: str = "zero"
 
     @abc.abstractmethod
-    def c(self, t: int, x: np.ndarray, u: np.ndarray) -> float: ...
+    def c_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def cx(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
+    def cx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def cu(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
+    def cu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def cxx(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
+    def cxx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def cuu(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
+    def cuu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def cxu(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
-
-    # batch counterparts, overridable with vectorized implementations
-
-    def c_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.array([self.c(t, xs[t], us[t]) for t in range(len(us))])
-
-    def cx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.cx(t, xs[t], us[t]) for t in range(len(us))])
-
-    def cu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.cu(t, xs[t], us[t]) for t in range(len(us))])
-
-    def cxx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.cxx(t, xs[t], us[t]) for t in range(len(us))])
-
-    def cuu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.cuu(t, xs[t], us[t]) for t in range(len(us))])
-
-    def cxu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        return np.stack([self.cxu(t, xs[t], us[t]) for t in range(len(us))])
+    def cxu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
 
 
 class ZeroAugmentation(AugmentedCost):
     """No augmentation; reduces the augmented objective to the plain cost."""
 
     variant = "zero"
-
-    def c(self, t, x, u):
-        return 0.0
-
-    def cx(self, t, x, u):
-        return np.zeros(len(x))
-
-    def cu(self, t, x, u):
-        return np.zeros(len(u))
-
-    def cxx(self, t, x, u):
-        return np.zeros((len(x), len(x)))
-
-    def cuu(self, t, x, u):
-        return np.zeros((len(u), len(u)))
-
-    def cxu(self, t, x, u):
-        return np.zeros((len(x), len(u)))
 
     def c_batch(self, xs, us):
         return np.zeros(len(us))

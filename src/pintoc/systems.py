@@ -46,21 +46,6 @@ class LinearDynamics(DynamicsModel):
     def f(self, t, x, u):
         return self.A @ x + self.B @ u + self.offset
 
-    def fx(self, t, x, u):
-        return self.A
-
-    def fu(self, t, x, u):
-        return self.B
-
-    def fxx(self, t, x, u):
-        return np.zeros((self.d_x, self.d_x, self.d_x))
-
-    def fuu(self, t, x, u):
-        return np.zeros((self.d_x, self.d_u, self.d_u))
-
-    def fxu(self, t, x, u):
-        return np.zeros((self.d_x, self.d_x, self.d_u))
-
     def fx_batch(self, xs, us):
         return np.broadcast_to(self.A, (len(us),) + self.A.shape)
 
@@ -88,25 +73,6 @@ class QuadraticCost(CostModel):
         self.Qf = np.atleast_2d(np.asarray(Q_terminal, dtype=float))
         d_x = self.Q.shape[0]
         self.x_goal = np.zeros(d_x) if x_goal is None else np.asarray(x_goal, float)
-
-    def l(self, t, x, u):
-        dx = x - self.x_goal
-        return 0.5 * float(dx @ self.Q @ dx) + 0.5 * float(u @ self.R @ u)
-
-    def lx(self, t, x, u):
-        return self.Q @ (x - self.x_goal)
-
-    def lu(self, t, x, u):
-        return self.R @ u
-
-    def lxx(self, t, x, u):
-        return self.Q
-
-    def luu(self, t, x, u):
-        return self.R
-
-    def lxu(self, t, x, u):
-        return np.zeros((self.Q.shape[0], self.R.shape[0]))
 
     def terminal(self, x):
         dx = x - self.x_goal
@@ -176,31 +142,6 @@ class PendulumDynamics(DynamicsModel):
 
     def f(self, t, x, u):
         return pendulum_step(x, u, self.params)
-
-    def fx(self, t, x, u):
-        p = self.params
-        acc_theta = -(p.gravity / p.length) * math.cos(x[0])
-        acc_omega = -p.damping / (p.mass * p.length ** 2)
-        return np.array([
-            [1.0, p.dt],
-            [p.dt * acc_theta, 1.0 + p.dt * acc_omega],
-        ])
-
-    def fu(self, t, x, u):
-        p = self.params
-        return np.array([[0.0], [p.dt / (p.mass * p.length ** 2)]])
-
-    def fxx(self, t, x, u):
-        p = self.params
-        out = np.zeros((2, 2, 2))
-        out[1, 0, 0] = p.dt * (p.gravity / p.length) * math.sin(x[0])
-        return out
-
-    def fuu(self, t, x, u):
-        return np.zeros((2, 1, 1))
-
-    def fxu(self, t, x, u):
-        return np.zeros((2, 2, 1))
 
     def fx_batch(self, xs, us):
         p = self.params
@@ -348,47 +289,6 @@ class CartPoleDynamics(DynamicsModel):
 
     # reduced-variable order inside _cartpole_accel: (theta, omega, force);
     # state order: (pos, theta, vel, omega)
-
-    def fx(self, t, x, u):
-        dt = self.params.dt
-        force = np.asarray(u, dtype=float).reshape(-1)[0]
-        (_, gc, _), (_, gp, _) = _cartpole_accel(x[1], x[3], force, self.params)
-        return np.array([
-            [1.0, 0.0, dt, 0.0],
-            [0.0, 1.0, 0.0, dt],
-            [0.0, dt * gc[0], 1.0, dt * gc[1]],
-            [0.0, dt * gp[0], 0.0, 1.0 + dt * gp[1]],
-        ])
-
-    def fu(self, t, x, u):
-        dt = self.params.dt
-        force = np.asarray(u, dtype=float).reshape(-1)[0]
-        (_, gc, _), (_, gp, _) = _cartpole_accel(x[1], x[3], force, self.params)
-        return np.array([[0.0], [0.0], [dt * gc[2]], [dt * gp[2]]])
-
-    def fxx(self, t, x, u):
-        dt = self.params.dt
-        force = np.asarray(u, dtype=float).reshape(-1)[0]
-        (_, _, hc), (_, _, hp) = _cartpole_accel(x[1], x[3], force, self.params)
-        out = np.zeros((4, 4, 4))
-        for row, h in ((2, hc), (3, hp)):
-            out[row, 1, 1] = dt * h[0, 0]
-            out[row, 1, 3] = out[row, 3, 1] = dt * h[0, 1]
-            out[row, 3, 3] = dt * h[1, 1]
-        return out
-
-    def fuu(self, t, x, u):
-        return np.zeros((4, 1, 1))
-
-    def fxu(self, t, x, u):
-        dt = self.params.dt
-        force = np.asarray(u, dtype=float).reshape(-1)[0]
-        (_, _, hc), (_, _, hp) = _cartpole_accel(x[1], x[3], force, self.params)
-        out = np.zeros((4, 4, 1))
-        for row, h in ((2, hc), (3, hp)):
-            out[row, 1, 0] = dt * h[0, 2]
-            out[row, 3, 0] = dt * h[1, 2]
-        return out
 
     def _batch_accel(self, xs, us):
         return _cartpole_accel(xs[:, 1], xs[:, 3], us[:, 0], self.params)

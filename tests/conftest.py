@@ -54,11 +54,12 @@ def random_lq_problem(rng, n, d_x, d_u):
 def sequential_costates(traj, cost, aug, dyn):
     """Direct backward recursion for the adjoint vectors."""
     n = traj.horizon
+    xs, us = traj.states[:-1], traj.controls
+    lx, cx, fx = cost.lx_batch(xs, us), aug.cx_batch(xs, us), dyn.fx_batch(xs, us)
     lam = np.zeros((n + 1, dyn.d_x))
     lam[n] = cost.terminal_x(traj.states[n])
     for t in range(n - 1, -1, -1):
-        x, u = traj.states[t], traj.controls[t]
-        lam[t] = cost.lx(t, x, u) + aug.cx(t, x, u) + dyn.fx(t, x, u).T @ lam[t + 1]
+        lam[t] = lx[t] + cx[t] + fx[t].T @ lam[t + 1]
     return lam
 
 

@@ -206,12 +206,12 @@ def test_criterion_8_derivative_hygiene():
                                 z=rng.normal(size=(4, d_w)),
                                 v=rng.normal(size=(4, d_w)))
         for _ in range(20):
-            x = rng.uniform(-1.5, 1.5, size=d_x)
-            u = rng.uniform(-0.9 * bound, 0.9 * bound, size=d_u)
-            t = int(rng.integers(0, 4))
+            # every report covers all 4 stages of the horizon
+            xs = rng.uniform(-1.5, 1.5, size=(4, d_x))
+            us = rng.uniform(-0.9 * bound, 0.9 * bound, size=(4, d_u))
             for target in (prob.dynamics, prob.cost, barrier, admm,
                            prob.constraints):
-                assert check_derivatives(target, (t, x, u), tolerance=1e-5).ok
+                assert check_derivatives(target, (xs, us), tolerance=1e-5).ok
                 checked += 1
     _passed(8, f"{checked} derivative reports clean at 1e-5")
 

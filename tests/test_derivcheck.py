@@ -1,12 +1,20 @@
 """Finite-difference verification machinery."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pintoc
 from pintoc import (
     BarrierAugmentation,
     BoxConstraint,
+    CartPoleDynamics,
     DerivativeCheckError,
+    DimensionError,
     FiniteDiffCost,
     FiniteDiffDynamics,
     LinearDynamics,
@@ -20,7 +28,7 @@ def test_linear_dynamics_exact():
     rng = np.random.default_rng(0)
     A, B = rng.normal(size=(3, 3)), rng.normal(size=(3, 2))
     dyn = LinearDynamics(A, B, horizon=4)
-    report = check_derivatives(dyn, (0, rng.normal(size=3), rng.normal(size=2)))
+    report = check_derivatives(dyn, (rng.normal(size=(1, 3)), rng.normal(size=(1, 2))))
     assert report.ok
     # the Jacobians of an affine map are recovered by central differences
     # to machine-level accuracy
@@ -31,7 +39,7 @@ def test_linear_dynamics_exact():
 
 def test_pendulum_jacobian_close_to_fd():
     dyn = PendulumDynamics(horizon=1)
-    report = check_derivatives(dyn, (0, np.array([1.0, 0.5]), np.array([1.0])),
+    report = check_derivatives(dyn, (np.array([[1.0, 0.5]]), np.array([[1.0]])),
                                tolerance=1e-5, step=1e-6)
     assert report.ok
     assert report["fx"].max_abs_err < 1e-5
@@ -40,33 +48,57 @@ def test_pendulum_jacobian_close_to_fd():
 def test_barrier_symmetric_point_zero_gradient():
     box = BoxConstraint(1, 1, control_lower=-5.0, control_upper=5.0)
     aug = BarrierAugmentation(box, mu=0.1)
-    grad = aug.cu(0, np.zeros(1), np.zeros(1))
+    grad = aug.cu_batch(np.zeros((1, 1)), np.zeros((1, 1)))
     assert np.allclose(grad, 0.0)
-    report = check_derivatives(aug, (0, np.zeros(1), np.zeros(1)))
+    report = check_derivatives(aug, (np.zeros((1, 1)), np.zeros((1, 1))))
     assert report.ok
 
 
 def test_mismatch_names_derivative():
     class Broken(PendulumDynamics):
-        def fu(self, t, x, u):
-            return super().fu(t, x, u) + 0.5
+        def fu_batch(self, xs, us):
+            return super().fu_batch(xs, us) + 0.5
 
     with pytest.raises(DerivativeCheckError, match="fu"):
-        check_derivatives(Broken(horizon=1), (0, np.array([0.2, 0.1]), np.array([0.3])))
+        check_derivatives(Broken(horizon=1), (np.array([[0.2, 0.1]]), np.array([[0.3]])))
+
+
+def test_mismatch_at_one_stage_of_a_batch_is_found(rng):
+    # the batched evaluators are what the solver runs, so an error confined
+    # to one row of one of them must fail the check
+    class Broken(CartPoleDynamics):
+        def fxu_batch(self, xs, us):
+            out = super().fxu_batch(xs, us).copy()
+            out[3] += 1e-3
+            return out
+
+    xs = rng.uniform((-1, -np.pi, -2, -3), (1, np.pi, 2, 3), size=(5, 4))
+    us = rng.uniform(-60.0, 60.0, size=(5, 1))
+    assert check_derivatives(CartPoleDynamics(horizon=5), (xs, us)).ok
+    with pytest.raises(DerivativeCheckError, match="failed for: fxu") as exc:
+        check_derivatives(Broken(horizon=5), (xs, us))
+    assert str(exc.value).count("(abs") == 1  # no other derivative is named
+
+
+@pytest.mark.parametrize("shapes", [((0, 2), (0, 1)), ((3, 2), (2, 1)), ((2,), (1,))])
+def test_unstacked_or_empty_points_are_rejected(shapes):
+    xs, us = (np.zeros(shape) for shape in shapes)
+    with pytest.raises(DimensionError):
+        check_derivatives(PendulumDynamics(horizon=3), (xs, us))
 
 
 def test_quadratic_cost_check():
     rng = np.random.default_rng(2)
     cost = QuadraticCost(np.diag([2.0, 1.0]), np.eye(1), np.diag([3.0, 3.0]),
                          x_goal=np.array([0.5, -0.5]))
-    report = check_derivatives(cost, (0, rng.normal(size=2), rng.normal(size=1)))
+    report = check_derivatives(cost, (rng.normal(size=(1, 2)), rng.normal(size=(1, 1))))
     assert report.ok
 
 
 def test_constraint_model_check():
     box = BoxConstraint(2, 1, control_lower=-2.0, control_upper=2.0,
                         state_upper=(1.0, np.inf))
-    report = check_derivatives(box, (0, np.array([0.2, 0.0]), np.array([0.1])))
+    report = check_derivatives(box, (np.array([[0.2, 0.0]]), np.array([[0.1]])))
     assert report.ok
 
 
@@ -74,16 +106,29 @@ def test_fd_fallback_models_agree_with_analytic(rng):
     analytic = PendulumDynamics(horizon=3)
     fd = FiniteDiffDynamics(lambda t, x, u: analytic.f(t, x, u),
                             horizon=3, d_x=2, d_u=1)
-    x, u = rng.normal(size=2), rng.normal(size=1)
-    assert np.allclose(fd.fx(0, x, u), analytic.fx(0, x, u), atol=1e-6)
-    assert np.allclose(fd.fu(0, x, u), analytic.fu(0, x, u), atol=1e-6)
-    assert np.allclose(fd.fxx(0, x, u), analytic.fxx(0, x, u), atol=1e-5)
-    assert np.allclose(fd.fxu(0, x, u), analytic.fxu(0, x, u), atol=1e-5)
+    xs, us = rng.normal(size=(1, 2)), rng.normal(size=(1, 1))
+    assert np.allclose(fd.fx_batch(xs, us), analytic.fx_batch(xs, us), atol=1e-6)
+    assert np.allclose(fd.fu_batch(xs, us), analytic.fu_batch(xs, us), atol=1e-6)
+    assert np.allclose(fd.fxx_batch(xs, us), analytic.fxx_batch(xs, us), atol=1e-5)
+    assert np.allclose(fd.fxu_batch(xs, us), analytic.fxu_batch(xs, us), atol=1e-5)
 
     cost = QuadraticCost(np.eye(2), np.eye(1), 2 * np.eye(2))
-    fd_cost = FiniteDiffCost(lambda t, x, u: cost.l(t, x, u),
+    fd_cost = FiniteDiffCost(lambda t, x, u: cost.l_batch(x[None], u[None])[0],
                              lambda x: cost.terminal(x))
-    assert np.allclose(fd_cost.lx(0, x, u), cost.lx(0, x, u), atol=1e-6)
-    assert np.allclose(fd_cost.lxx(0, x, u), cost.lxx(0, x, u), atol=1e-5)
-    assert np.allclose(fd_cost.lxu(0, x, u), cost.lxu(0, x, u), atol=1e-5)
-    assert np.allclose(fd_cost.terminal_xx(x), cost.terminal_xx(x), atol=1e-5)
+    assert np.allclose(fd_cost.lx_batch(xs, us), cost.lx_batch(xs, us), atol=1e-6)
+    assert np.allclose(fd_cost.lxx_batch(xs, us), cost.lxx_batch(xs, us), atol=1e-5)
+    assert np.allclose(fd_cost.lxu_batch(xs, us), cost.lxu_batch(xs, us), atol=1e-5)
+    assert np.allclose(fd_cost.terminal_xx(xs[0]), cost.terminal_xx(xs[0]), atol=1e-5)
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # importing scipy.optimize once pushed the benchmark's set-up time and
+    # peak memory past their bounds; scipy.linalg costs the same way
+    code = ("import sys, pintoc; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(pintoc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "[]"

@@ -40,17 +40,17 @@ def one_dim_problem():
 def test_barrier_box_value_and_symmetry():
     box = BoxConstraint(1, 1, control_lower=-5.0, control_upper=5.0)
     aug = BarrierAugmentation(box, mu=0.1)
-    val = aug.c(0, np.zeros(1), np.zeros(1))
+    val = aug.c_batch(np.zeros((1, 1)), np.zeros((1, 1)))[0]
     assert np.isclose(val, -0.2 * np.log(5.0))
-    assert np.allclose(aug.cu(0, np.zeros(1), np.zeros(1)), 0.0)
+    assert np.allclose(aug.cu_batch(np.zeros((1, 1)), np.zeros((1, 1))), 0.0)
 
 
 def test_barrier_one_sided_hand_derivative():
     box = BoxConstraint(1, 1, control_upper=1.0)
     aug = BarrierAugmentation(box, mu=1.0)
-    u = np.zeros(1)
-    assert np.isclose(aug.c(0, np.zeros(1), u), 0.0)  # -log(1 - 0) = 0
-    assert np.allclose(aug.cu(0, np.zeros(1), u), 1.0)
+    xs, us = np.zeros((1, 1)), np.zeros((1, 1))
+    assert np.isclose(aug.c_batch(xs, us)[0], 0.0)  # -log(1 - 0) = 0
+    assert np.allclose(aug.cu_batch(xs, us), 1.0)
 
 
 def test_barrier_derivatives_match_fd(rng):
@@ -60,14 +60,14 @@ def test_barrier_derivatives_match_fd(rng):
     for _ in range(10):
         x = rng.uniform(-1.0, 1.0, size=2)
         u = rng.uniform(-1.5, 1.5, size=2)
-        assert check_derivatives(aug, (0, x, u), tolerance=1e-5).ok
+        assert check_derivatives(aug, (x[None], u[None]), tolerance=1e-5).ok
 
 
 def test_barrier_infeasible_evaluation_raises():
     box = BoxConstraint(1, 1, control_lower=-1.0, control_upper=1.0)
     aug = BarrierAugmentation(box, mu=0.1)
     with pytest.raises(InfeasibleError):
-        aug.c(0, np.zeros(1), np.array([2.0]))
+        aug.c_batch(np.zeros((1, 1)), np.array([[2.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +131,19 @@ def test_barrier_all_rounds_strictly_feasible(rng):
 
 def test_admm_penalty_zero_residual():
     box = BoxConstraint(1, 1, control_lower=-1.0, control_upper=1.0)
-    u = np.array([0.3])
-    w = box.w(0, np.zeros(1), u)
-    aug = AdmmAugmentation(box, rho=2.0, z=w[None, :], v=np.zeros((1, len(w))))
-    assert np.isclose(aug.c(0, np.zeros(1), u), 0.0)
+    xs, us = np.zeros((1, 1)), np.array([[0.3]])
+    w = box.w_batch(xs, us)
+    aug = AdmmAugmentation(box, rho=2.0, z=w, v=np.zeros_like(w))
+    assert np.isclose(aug.c_batch(xs, us)[0], 0.0)
 
 
 def test_admm_penalty_hand_derivative():
     # scalar constraint w(u) = u - 1 with z = 0, v = 0, rho = 2 at u = 0
     box = BoxConstraint(1, 1, control_upper=1.0)
     aug = AdmmAugmentation(box, rho=2.0, z=np.zeros((1, 1)), v=np.zeros((1, 1)))
-    u = np.zeros(1)
-    assert np.isclose(aug.c(0, np.zeros(1), u), 1.0)
-    assert np.allclose(aug.cu(0, np.zeros(1), u), -2.0)
+    xs, us = np.zeros((1, 1)), np.zeros((1, 1))
+    assert np.isclose(aug.c_batch(xs, us)[0], 1.0)
+    assert np.allclose(aug.cu_batch(xs, us), -2.0)
 
 
 def test_admm_penalty_derivatives_match_fd(rng):
@@ -153,10 +153,9 @@ def test_admm_penalty_derivatives_match_fd(rng):
     d_w = box.n_total
     aug = AdmmAugmentation(box, rho=0.7, z=rng.normal(size=(n, d_w)),
                            v=rng.normal(size=(n, d_w)))
-    for t in range(n):
-        x = rng.normal(size=2)
-        u = rng.normal(size=2)
-        assert check_derivatives(aug, (t, x, u), tolerance=1e-5).ok
+    # all n stages at once: row t meets the stage-t consensus data
+    xs, us = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    assert check_derivatives(aug, (xs, us), tolerance=1e-5).ok
 
 
 def test_project_box_componentwise():

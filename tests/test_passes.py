@@ -32,7 +32,7 @@ from pintoc import (
     rollout,
     rollout_combine,
     value_combine,
-    value_element_init,
+    value_elements,
     value_pass,
 )
 from pintoc.derivcheck import fd_jacobian
@@ -114,8 +114,9 @@ def test_costate_pass_single_stage():
     traj = rollout(dyn, x1, rng.normal(size=(1, 2)))
     aug = ZeroAugmentation()
     lam = costate_pass(traj, cost, aug, dyn)
-    x, u = traj.states[0], traj.controls[0]
-    expected = cost.lx(0, x, u) + aug.cx(0, x, u) + dyn.fx(0, x, u).T @ lam[1]
+    xs, us = traj.states[:-1], traj.controls
+    expected = (cost.lx_batch(xs, us)[0] + aug.cx_batch(xs, us)[0]
+                + dyn.fx_batch(xs, us)[0].T @ lam[1])
     assert np.allclose(lam[0], expected, atol=1e-12)
 
 
@@ -157,7 +158,7 @@ def test_expansion_gradient_matches_fd_hamiltonian(rng):
         x = traj.states[t]
 
         def hamiltonian_u(u):
-            return (prob.cost.l(t, x, u) + aug.c(t, x, u)
+            return (prob.cost.l_batch(x[None], u[None])[0] + aug.c_batch(x[None], u[None])[0]
                     + lam[t + 1] @ prob.dynamics.f(t, x, u))
 
         fd = fd_jacobian(hamiltonian_u, traj.controls[t])
@@ -192,7 +193,7 @@ def test_value_element_decoupled_case(rng):
     Fu = rng.normal(size=(1, 2, 2))
     exp = _expansion_from_arrays(P, R, np.zeros((1, 2, 2)), np.zeros((1, 2)),
                                  Fx, Fu, np.eye(2))
-    el = value_element_init(exp, 0)
+    el = value_elements(exp)[0]
     assert np.allclose(el.A, Fx[0])
     assert np.allclose(el.Y, P[0])
     assert np.allclose(el.C, Fu[0] @ np.linalg.solve(R[0], Fu[0].T))
@@ -212,7 +213,7 @@ def test_value_element_scalar_example():
                          exp.d[0])
     r = -np.linalg.solve(exp.P[0], exp.M[0] @ q)
     assert np.allclose(q, -1.0) and np.allclose(r, 0.0)
-    el = value_element_init(exp, 0)
+    el = value_elements(exp)[0]
     assert np.allclose(el.A, 1.0)
     assert np.allclose(el.Y, 2.0)
     assert np.allclose(el.C, 1.0)
@@ -225,14 +226,14 @@ def test_value_element_terminal():
         P=np.zeros((1, 2, 2)), R=np.eye(2)[None], M=np.zeros((1, 2, 2)),
         d=np.zeros((1, 2)), Fx=np.eye(2)[None], Fu=np.eye(2)[None],
         PT=np.diag([3.0, 4.0]))
-    el = value_element_init(exp, 1)
+    el = value_elements(exp)[1]
     assert np.allclose(el.Y, np.diag([3.0, 4.0]))
     for part in (el.A, el.C, el.eta, el.b):
         assert np.allclose(part, 0.0)
 
 
 def test_value_element_feedforward_route_equivalent(rng):
-    # the eta/b expressions used by value_element_init are the feedforward
+    # the eta/b expressions used by value_elements are the feedforward
     # pair (q, r) route written without P^{-1}; on invertible P the two
     # must coincide
     from conftest import rand_spd
@@ -246,7 +247,7 @@ def test_value_element_feedforward_route_equivalent(rng):
         Fu = rng.normal(size=(d_x, d_u))
         exp = _expansion_from_arrays(P[None], R[None], M[None], d[None],
                                      Fx[None], Fu[None], np.eye(d_x))
-        el = value_element_init(exp, 0)
+        el = value_elements(exp)[0]
         q = -np.linalg.solve(R - M.T @ np.linalg.solve(P, M), d)
         r = -np.linalg.solve(P, M @ q)
         eta_printed = (P - M @ np.linalg.solve(R, M.T)) @ r
@@ -261,7 +262,7 @@ def test_value_element_indefinite_r_raises():
         d=np.zeros((1, 1)), Fx=np.eye(1)[None], Fu=np.eye(1)[None],
         PT=np.zeros((1, 1)))
     with pytest.raises(DefinitenessError) as exc:
-        value_element_init(exp, 0)
+        value_elements(exp)
     assert exc.value.stage == 0
 
 

@@ -121,24 +121,13 @@ def test_total_cost_barrier_boundary_raises():
 def test_box_constraint_stacking():
     box = BoxConstraint(2, 1, control_lower=-5.0, control_upper=5.0)
     assert box.n_state == 0 and box.n_control == 2
-    h = box.h(0, np.array([2.0]))
+    h = box.h_batch(np.array([[2.0]]))[0]
     assert np.allclose(h, [-3.0, -7.0])  # [u - ub, lb - u]
-    assert np.allclose(box.hu(0, np.array([2.0])), [[1.0], [-1.0]])
+    assert np.allclose(box.hu_batch(np.array([[2.0]]))[0], [[1.0], [-1.0]])
 
 
 def test_box_one_sided_bounds():
     box = BoxConstraint(1, 1, control_lower=1.0, control_upper=None)
     assert box.n_control == 1
-    assert np.allclose(box.h(0, np.array([3.0])), [-2.0])
+    assert np.allclose(box.h_batch(np.array([[3.0]]))[0], [-2.0])
 
-
-def test_batch_defaults_match_loops(rng):
-    # default batch implementations must agree with the per-stage evaluators
-    dyn = PendulumDynamics(horizon=6)
-    xs = rng.normal(size=(6, 2))
-    us = rng.normal(size=(6, 1))
-    base = super(PendulumDynamics, dyn)
-    for name in ("fx", "fu", "fxx", "fuu", "fxu"):
-        fast = getattr(dyn, name + "_batch")(xs, us)
-        slow = getattr(base, name + "_batch")(xs, us)
-        assert np.allclose(fast, slow, atol=1e-13), name

@@ -41,11 +41,11 @@ def test_pendulum_gravity_only_step():
 
 
 def test_pendulum_derivatives_at_random_points(rng):
-    dyn = PendulumDynamics(horizon=1, params=PendulumParams(dt=0.02))
-    for _ in range(20):
-        x = rng.uniform(-np.pi, np.pi, size=2)
-        u = rng.uniform(-5.0, 5.0, size=1)
-        assert check_derivatives(dyn, (0, x, u), tolerance=1e-5, step=1e-6).ok
+    dyn = PendulumDynamics(horizon=20, params=PendulumParams(dt=0.02))
+    points = [(rng.uniform(-np.pi, np.pi, size=2), rng.uniform(-5.0, 5.0, size=1))
+              for _ in range(20)]
+    xs, us = (np.array(a) for a in zip(*points))
+    assert check_derivatives(dyn, (xs, us), tolerance=1e-5, step=1e-6).ok
 
 
 def test_cartpole_down_equilibrium():
@@ -69,11 +69,11 @@ def test_cartpole_quarter_turn_accelerations():
 
 
 def test_cartpole_derivatives_at_random_points(rng):
-    dyn = CartPoleDynamics(horizon=1, params=CartPoleParams(dt=0.02))
-    for _ in range(20):
-        x = rng.uniform((-1, -np.pi, -2, -3), (1, np.pi, 2, 3))
-        u = rng.uniform(-60.0, 60.0, size=1)
-        assert check_derivatives(dyn, (0, x, u), tolerance=1e-5, step=1e-6).ok
+    dyn = CartPoleDynamics(horizon=20, params=CartPoleParams(dt=0.02))
+    points = [(rng.uniform((-1, -np.pi, -2, -3), (1, np.pi, 2, 3)),
+               rng.uniform(-60.0, 60.0, size=1)) for _ in range(20)]
+    xs, us = (np.array(a) for a in zip(*points))
+    assert check_derivatives(dyn, (xs, us), tolerance=1e-5, step=1e-6).ok
 
 
 def test_pendulum_euler_energy_drift():
@@ -128,4 +128,4 @@ def test_cost_model_derivatives(rng):
     for _ in range(5):
         x = rng.normal(size=4)
         u = rng.normal(size=1)
-        assert check_derivatives(prob.cost, (0, x, u)).ok
+        assert check_derivatives(prob.cost, (x[None], u[None])).ok
