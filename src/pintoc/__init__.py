@@ -1,10 +1,10 @@
 """Parallel-in-time Newton solvers for constrained trajectory optimization.
 
-The solver stack, bottom to top: a generic associative-scan engine with
-sequential and parallel executors, three scan passes forming one Newton
-iteration (co-states, value functions, state propagation), a regularized
-iterative Newton method, and two constrained outer loops (primal log-barrier
-and ADMM).  Benchmark pendulum / cart-pole swing-up models and an
+The solver stack, bottom to top: a generic associative-scan engine that runs
+each level of its plan as one batched combine, three scan passes forming one
+Newton iteration (co-states, value functions, state propagation), a
+regularized iterative Newton method, and two constrained outer loops (primal
+log-barrier and ADMM).  Benchmark pendulum / cart-pole swing-up models and an
 experiment harness round out the package.
 """
 
@@ -81,8 +81,6 @@ from .problem import (
     total_cost,
 )
 from .scan import (
-    PARALLEL,
-    SEQUENTIAL,
     ScanDirection,
     scan,
     scan_depth_probe,

@@ -32,12 +32,11 @@ from .outer import (
     barrier_solve,
 )
 from .problem import BoxConstraint, ControlProblem, Trajectory, rollout, total_cost
-from .scan import EXECUTORS, SEQUENTIAL
 from .systems import SYSTEMS, make_swingup_problem, swingup_start
 
 SOLVERS = ("barrier", "admm")
 
-BENCH_HEADER = ("system", "solver", "executor", "horizon", "rep",
+BENCH_HEADER = ("system", "solver", "horizon", "rep",
                 "wall_s", "outer_iters", "inner_iters", "converged")
 
 # penalty weights used in the swing-up experiments
@@ -48,7 +47,6 @@ DEFAULT_RHO = {"pendulum": 1.0, "cartpole": 0.5}
 class RunConfig:
     system: str = "pendulum"
     solver: str = "barrier"
-    executor: str = SEQUENTIAL
     horizons: tuple[int, ...] = (20, 40, 80, 100)
     dt: float | None = None        # fixed step size; None derives dt = total_time / N
     total_time: float = 2.0        # plan duration when dt is None
@@ -85,8 +83,6 @@ class RunConfig:
             raise ValueError(f"system must be one of {SYSTEMS}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}")
         if any(h < 1 for h in self.horizons):
             raise ValueError("horizons must be positive")
         if self.repetitions < 1:
@@ -94,7 +90,7 @@ class RunConfig:
 
     def newton_options(self) -> NewtonOptions:
         return NewtonOptions(alpha0=self.alpha0, inner_tol=self.inner_tol,
-                             max_iters=self.max_inner, executor=self.executor)
+                             max_iters=self.max_inner)
 
     def barrier_options(self) -> BarrierOptions:
         return BarrierOptions(mu0=self.mu0, zeta=self.zeta, mu_tol=self.mu_tol,
@@ -120,7 +116,6 @@ class RunConfig:
 class BenchmarkRecord:
     system: str
     solver: str
-    executor: str
     horizon: int
     rep: int
     wall_s: float
@@ -129,14 +124,14 @@ class BenchmarkRecord:
     converged: bool
 
     def to_row(self) -> tuple:
-        return (self.system, self.solver, self.executor, self.horizon, self.rep,
+        return (self.system, self.solver, self.horizon, self.rep,
                 repr(self.wall_s), self.outer_iters, self.inner_iters,
                 int(self.converged))
 
     @classmethod
     def from_row(cls, row: dict) -> "BenchmarkRecord":
         return cls(
-            system=row["system"], solver=row["solver"], executor=row["executor"],
+            system=row["system"], solver=row["solver"],
             horizon=int(row["horizon"]), rep=int(row["rep"]),
             wall_s=float(row["wall_s"]), outer_iters=int(row["outer_iters"]),
             inner_iters=int(row["inner_iters"]),
@@ -200,8 +195,7 @@ def validate_solution(problem: ControlProblem, traj: Trajectory,
         aug = AdmmAugmentation(con, config.admm_options().rho, state.z, state.v)
     try:
         before = total_cost(problem.cost, aug, traj)
-        polish = NewtonOptions(inner_tol=config.inner_tol, max_iters=8,
-                               executor=config.executor)
+        polish = NewtonOptions(inner_tol=config.inner_tol, max_iters=8)
         _, recheck = newton_solve(problem.dynamics, problem.cost, aug, traj, polish)
     except PintocError:
         return False
@@ -232,14 +226,13 @@ def run_benchmark(config: RunConfig) -> list[BenchmarkRecord]:
             try:
                 traj, report = _solve(problem, initial, config)
             except PintocError:
-                return BenchmarkRecord(config.system, config.solver, config.executor,
-                                       horizon, rep, time.perf_counter() - start,
-                                       0, 0, False)
+                return BenchmarkRecord(config.system, config.solver, horizon, rep,
+                                       time.perf_counter() - start, 0, 0, False)
             wall = time.perf_counter() - start
             converged = report.converged and validate_solution(problem, traj, config, report)
-            return BenchmarkRecord(config.system, config.solver, config.executor,
-                                   horizon, rep, wall, report.outer_iterations,
-                                   report.inner_iterations, converged)
+            return BenchmarkRecord(config.system, config.solver, horizon, rep, wall,
+                                   report.outer_iterations, report.inner_iterations,
+                                   converged)
 
         one_solve(0)  # warm-up, discarded
         for rep in range(config.repetitions):
@@ -389,7 +382,7 @@ def emit_plotdata(records, out_dir: str | Path) -> list[Path]:
     """Write plot-ready tables (no plotting library involved).
 
     Benchmark records become a runtime-vs-horizon table with mean and std
-    columns per (system, solver, executor, horizon) group; an MPC log becomes
+    columns per (system, solver, horizon) group; an MPC log becomes
     its time/state/control table.  Returns the written paths.
     """
     out_dir = Path(out_dir)
@@ -403,12 +396,11 @@ def emit_plotdata(records, out_dir: str | Path) -> list[Path]:
         raise ValueError("no records to export")
     groups: dict[tuple, list[BenchmarkRecord]] = {}
     for rec in records:
-        groups.setdefault((rec.system, rec.solver, rec.executor, rec.horizon),
-                          []).append(rec)
+        groups.setdefault((rec.system, rec.solver, rec.horizon), []).append(rec)
     path = out_dir / "runtime_vs_horizon.csv"
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(("system", "solver", "executor", "horizon",
+        writer.writerow(("system", "solver", "horizon",
                          "mean_wall_s", "std_wall_s", "runs", "all_converged"))
         for key in sorted(groups):
             runs = groups[key]

@@ -107,7 +107,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--system", choices=("pendulum", "cartpole"))
     parser.add_argument("--solver", choices=("barrier", "admm"))
-    parser.add_argument("--executor", choices=("sequential", "parallel"))
     parser.add_argument("--dt", type=float, help="fixed step size in seconds")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output CSV path")
@@ -149,7 +148,7 @@ def _cmd_bench(config: RunConfig, args) -> int:
     if config.out:
         print(f"wrote {len(records)} rows to {config.out}")
     for rec in records:
-        print(f"  {rec.system} {rec.solver} {rec.executor} N={rec.horizon} "
+        print(f"  {rec.system} {rec.solver} N={rec.horizon} "
               f"rep={rec.rep}: {rec.wall_s:.3f}s outer={rec.outer_iters} "
               f"inner={rec.inner_iters} converged={rec.converged}")
     if args.plot_data:

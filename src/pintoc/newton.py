@@ -43,7 +43,6 @@ from .problem import (
     rollout,
     total_cost,
 )
-from .scan import EXECUTORS, SEQUENTIAL
 
 ALPHA_MAX = 1e12
 TAU_BOUNDARY = 0.995  # fraction of the distance to the control boundary a step may cover
@@ -60,7 +59,6 @@ class NewtonOptions:
     nu0: float = 2.0          # growth factor seed for rejected steps
     inner_tol: float = 1e-8   # relative cost-change / step-norm tolerance
     max_iters: int = 100
-    executor: str = SEQUENTIAL
 
     def __post_init__(self):
         if self.alpha0 < 0:
@@ -71,8 +69,6 @@ class NewtonOptions:
             raise ValueError("inner_tol must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}")
 
 
 @dataclass(frozen=True)
@@ -230,14 +226,14 @@ def newton_solve(dyn: DynamicsModel, cost: CostModel, aug: AugmentedCost | None,
 
     while len(history) < opts.max_iters:
         if expansion is None:
-            costates = costate_pass(traj, cost, aug, dyn, opts.executor)
+            costates = costate_pass(traj, cost, aug, dyn)
             expansion = hamiltonian_expansion(traj, costates, cost, aug, dyn, alpha)
         elif expansion.alpha != alpha:
             expansion = expansion.with_alpha(alpha)
 
         try:
-            _, _, law = value_pass(expansion, opts.executor)
-            _, dus = propagation_pass(law, expansion, opts.executor)
+            _, _, law = value_pass(expansion)
+            _, dus = propagation_pass(law, expansion)
         except (DefinitenessError, ConditioningError) as err:
             if alpha > ALPHA_MAX:
                 raise SolverStalledError(

@@ -1,17 +1,19 @@
 """The three associative-scan passes of one Newton iteration.
 
-Each pass follows the same recipe: build one small element per stage,
-combine them with an associative operator via :func:`pintoc.scan.scan`, and
-read the result off the combined elements.
+Each pass follows the same recipe: build the elements of all stages as one
+stack (a NamedTuple of arrays whose leading axis is the stage), combine them
+with an associative operator via :func:`pintoc.scan.scan`, and read the
+result off the combined stack by slicing.
 
 * co-state pass (suffix scan): adjoint vectors of the augmented Lagrangian,
 * value pass (suffix scan over dual-form conditional value functions):
   quadratic cost-to-go parameters and an affine control law,
 * propagation pass (prefix scan): closed-loop state deviations.
 
-Element construction is independent across stages; combines are scheduled by
-the scan engine, so both backward recursions and the forward propagation run
-in logarithmic span under the parallel executor.
+Element construction is independent across stages, and each combine is
+written once for a single element and for a batch of them alike.  The scan
+engine runs every level of its plan as one batched combine, so both backward
+recursions and the forward propagation run in logarithmic span.
 """
 
 from __future__ import annotations
@@ -23,32 +25,35 @@ import numpy as np
 
 from .exceptions import ConditioningError, DefinitenessError
 from .problem import AugmentedCost, CostModel, DynamicsModel, Trajectory
-from .scan import DEFAULT_PARALLEL_THRESHOLD, SEQUENTIAL, ScanDirection, scan
+from .scan import ScanDirection, scan
 
+
+# Element fields carry optional leading batch axes ("..."): one element, or a
+# stack of them with the stage as the leading axis.
 
 class CostateElement(NamedTuple):
     """Composable piece of the adjoint recursion: (dl/dx, dc/dx, df/dx)."""
 
-    dl: np.ndarray  # (d_x,)
-    dc: np.ndarray  # (d_x,)
-    df: np.ndarray  # (d_x, d_x)
+    dl: np.ndarray  # (..., d_x)
+    dc: np.ndarray  # (..., d_x)
+    df: np.ndarray  # (..., d_x, d_x)
 
 
 class ValueElement(NamedTuple):
     """Dual parameterization (A, Y, C, eta, b) of a conditional value function."""
 
-    A: np.ndarray    # (d_x, d_x)
-    Y: np.ndarray    # (d_x, d_x), symmetric
-    C: np.ndarray    # (d_x, d_x), symmetric
-    eta: np.ndarray  # (d_x,)
-    b: np.ndarray    # (d_x,)
+    A: np.ndarray    # (..., d_x, d_x)
+    Y: np.ndarray    # (..., d_x, d_x), symmetric
+    C: np.ndarray    # (..., d_x, d_x), symmetric
+    eta: np.ndarray  # (..., d_x)
+    b: np.ndarray    # (..., d_x)
 
 
 class RolloutElement(NamedTuple):
     """Affine state-propagation map ``dx -> F dx + e``."""
 
-    F: np.ndarray  # (d_x, d_x)
-    e: np.ndarray  # (d_x,)
+    F: np.ndarray  # (..., d_x, d_x)
+    e: np.ndarray  # (..., d_x)
 
 
 class FeedbackLaw(NamedTuple):
@@ -96,8 +101,17 @@ class StageExpansion:
         return replace(self, alpha=alpha, R_reg=self.R + alpha * eye)
 
 
+def _T(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + _T(a))
+
+
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix-vector product over any leading batch axes."""
+    return (a @ x[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -111,40 +125,35 @@ def costate_boundary(cost: CostModel, x_final: np.ndarray) -> np.ndarray:
 
 def costate_combine(left: CostateElement, right: CostateElement) -> CostateElement:
     """Compose two adjoint segments, ``left`` covering the earlier stages."""
+    dfT = _T(left.df)
     return CostateElement(
-        dl=left.dl + left.df.T @ right.dl,
-        dc=left.dc + left.df.T @ right.dc,
+        dl=left.dl + _mv(dfT, right.dl),
+        dc=left.dc + _mv(dfT, right.dc),
         df=right.df @ left.df,
     )
 
 
 def costate_pass(traj: Trajectory, cost: CostModel, aug: AugmentedCost,
-                 dyn: DynamicsModel, executor: str = SEQUENTIAL,
-                 parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD) -> np.ndarray:
+                 dyn: DynamicsModel) -> np.ndarray:
     """Adjoint vectors lambda_{1:N+1} of the augmented Lagrangian.
 
     The result satisfies the backward recursion
     ``lambda_t = lx_t + cx_t + fx_t^T lambda_{t+1}`` with the terminal
     gradient as boundary, computed here as a suffix scan.
     """
-    n = traj.horizon
     xs, us = traj.states[:-1], traj.controls
-    lam_final = costate_boundary(cost, traj.states[n])
+    lam_final = costate_boundary(cost, traj.states[-1])
     dls = cost.lx_batch(xs, us)
-    dcs = aug.cx_batch(xs, us)
     dfs = dyn.fx_batch(xs, us)
-    elements = [CostateElement(dls[t], dcs[t], dfs[t]) for t in range(n - 1)]
     # fold the boundary into the last element; its zero Jacobian absorbs
     # everything to its right during the scan
-    elements.append(CostateElement(dls[n - 1] + dfs[n - 1].T @ lam_final,
-                                   dcs[n - 1], np.zeros((dyn.d_x, dyn.d_x))))
-    suffix = scan(elements, costate_combine, ScanDirection.REVERSE, executor,
-                  parallel_threshold=parallel_threshold)
-    costates = np.empty((n + 1, dyn.d_x))
-    for t in range(n):
-        costates[t] = suffix[t].dl + suffix[t].dc
-    costates[n] = lam_final
-    return costates
+    elements = CostateElement(
+        dl=np.vstack([dls[:-1], dls[-1] + dfs[-1].T @ lam_final]),
+        dc=aug.cx_batch(xs, us),
+        df=np.concatenate([dfs[:-1], np.zeros((1, dyn.d_x, dyn.d_x))]),
+    )
+    suffix = scan(elements, costate_combine, ScanDirection.REVERSE)
+    return np.vstack([suffix.dl + suffix.dc, lam_final])
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +210,8 @@ def _assert_spd_batch(mats: np.ndarray, what: str) -> None:
         raise
 
 
-def value_elements(exp: StageExpansion) -> list[ValueElement]:
-    """Dual-form value elements of all stages; element ``N`` is the boundary.
+def value_elements(exp: StageExpansion) -> ValueElement:
+    """Dual-form value elements of all stages, stacked; row ``N`` is the boundary.
 
     The single-stage dual parameters reduce to
 
@@ -211,29 +220,25 @@ def value_elements(exp: StageExpansion) -> list[ValueElement]:
 
     with ``Rr = R + alpha*I``.  This is the feedforward form written without
     any inverse of P, which need not exist at a poor nominal.  The boundary
-    element carries the terminal Hessian in ``Y`` and zeros elsewhere.
+    row carries the terminal Hessian in ``Y`` and zeros elsewhere.
 
     Raises:
         DefinitenessError: naming the first stage whose ``Rr`` fails its
             Cholesky factorization, which signals that the regularization is
             too small.
     """
-    n, d_x = exp.horizon, exp.d_x
     _assert_spd_batch(exp.R_reg, "R + alpha*I")
-    Mt = np.swapaxes(exp.M, 1, 2)
-    Ri_Mt = np.linalg.solve(exp.R_reg, Mt)
-    Ri_Fut = np.linalg.solve(exp.R_reg, np.swapaxes(exp.Fu, 1, 2))
+    Ri_Mt = np.linalg.solve(exp.R_reg, _T(exp.M))
+    Ri_Fut = np.linalg.solve(exp.R_reg, _T(exp.Fu))
     Ri_d = np.linalg.solve(exp.R_reg, exp.d[..., None])[..., 0]
-    A = exp.Fx - exp.Fu @ Ri_Mt
-    Y = _sym(exp.P - exp.M @ Ri_Mt)
-    C = _sym(exp.Fu @ Ri_Fut)
-    eta = np.einsum("tij,tj->ti", exp.M, Ri_d)
-    b = -np.einsum("tij,tj->ti", exp.Fu, Ri_d)
-    elements = [ValueElement(A[t], Y[t], C[t], eta[t], b[t]) for t in range(n)]
-    z = np.zeros((d_x, d_x))
-    elements.append(ValueElement(z, exp.P_terminal.copy(), z.copy(),
-                                 np.zeros(d_x), np.zeros(d_x)))
-    return elements
+    zero_m, zero_v = np.zeros((1, exp.d_x, exp.d_x)), np.zeros((1, exp.d_x))
+    return ValueElement(
+        A=np.concatenate([exp.Fx - exp.Fu @ Ri_Mt, zero_m]),
+        Y=np.concatenate([_sym(exp.P - exp.M @ Ri_Mt), exp.P_terminal[None]]),
+        C=np.concatenate([_sym(exp.Fu @ Ri_Fut), zero_m]),
+        eta=np.concatenate([_mv(exp.M, Ri_d), zero_v]),
+        b=np.concatenate([-_mv(exp.Fu, Ri_d), zero_v]),
+    )
 
 
 def value_combine(left: ValueElement, right: ValueElement) -> ValueElement:
@@ -243,29 +248,30 @@ def value_combine(left: ValueElement, right: ValueElement) -> ValueElement:
     Raises:
         ConditioningError: if ``I + C_left Y_right`` is singular.
     """
-    d_x = left.A.shape[0]
+    d_x = left.A.shape[-1]
     gram = np.eye(d_x) + left.C @ right.Y
     # since C and Y are symmetric, (I + Y_right C_left) is gram transposed;
-    # batch the right-hand sides so each orientation costs one solve
-    rhs = np.concatenate([left.A, left.C, (left.b + left.C @ right.eta)[:, None]], axis=1)
-    rhs_t = np.concatenate([right.Y @ left.A, (right.eta - right.Y @ left.b)[:, None]], axis=1)
+    # stack the right-hand sides so each orientation costs one solve
+    rhs = np.concatenate([left.A, left.C, (left.b + _mv(left.C, right.eta))[..., None]],
+                         axis=-1)
+    rhs_t = np.concatenate([right.Y @ left.A, (right.eta - _mv(right.Y, left.b))[..., None]],
+                           axis=-1)
     try:
         sol = np.linalg.solve(gram, rhs)
-        sol_t = np.linalg.solve(gram.T, rhs_t)
+        sol_t = np.linalg.solve(_T(gram), rhs_t)
     except np.linalg.LinAlgError as err:
         raise ConditioningError("singular I + C*Y while combining value elements") from err
+    left_AT = _T(left.A)
     return ValueElement(
-        A=right.A @ sol[:, :d_x],
-        Y=_sym(left.A.T @ sol_t[:, :d_x] + left.Y),
-        C=_sym(right.A @ sol[:, d_x:2 * d_x] @ right.A.T + right.C),
-        eta=left.A.T @ sol_t[:, d_x] + left.eta,
-        b=right.A @ sol[:, 2 * d_x] + right.b,
+        A=right.A @ sol[..., :d_x],
+        Y=_sym(left_AT @ sol_t[..., :d_x] + left.Y),
+        C=_sym(right.A @ sol[..., d_x:2 * d_x] @ _T(right.A) + right.C),
+        eta=_mv(left_AT, sol_t[..., d_x]) + left.eta,
+        b=_mv(right.A, sol[..., 2 * d_x]) + right.b,
     )
 
 
-def value_pass(exp: StageExpansion, executor: str = SEQUENTIAL,
-               parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
-               ) -> tuple[np.ndarray, np.ndarray, FeedbackLaw]:
+def value_pass(exp: StageExpansion) -> tuple[np.ndarray, np.ndarray, FeedbackLaw]:
     """Cost-to-go parameters (S, s) and the affine control law.
 
     A suffix scan over the dual elements yields the value function at every
@@ -279,22 +285,14 @@ def value_pass(exp: StageExpansion, executor: str = SEQUENTIAL,
     Raises:
         DefinitenessError: if some ``Q_t`` is not positive definite.
     """
-    n, d_x = exp.horizon, exp.d_x
-    elements = value_elements(exp)
-    suffix = scan(elements, value_combine, ScanDirection.REVERSE, executor,
-                  parallel_threshold=parallel_threshold)
-    S = np.empty((n + 1, d_x, d_x))
-    s = np.empty((n + 1, d_x))
-    for t in range(n + 1):
-        S[t] = suffix[t].Y
-        s[t] = -suffix[t].eta
-    FuT = np.swapaxes(exp.Fu, 1, 2)
+    suffix = scan(value_elements(exp), value_combine, ScanDirection.REVERSE)
+    S, s = suffix.Y, -suffix.eta
+    FuT = _T(exp.Fu)
     FuT_S = FuT @ S[1:]
     Q = _sym(exp.R_reg + FuT_S @ exp.Fu)
     _assert_spd_batch(Q, "Q")
-    Gamma = -np.linalg.solve(Q, np.swapaxes(exp.M, 1, 2) + FuT_S @ exp.Fx)
-    gamma = -np.linalg.solve(
-        Q, (exp.d + np.einsum("tkj,tk->tj", exp.Fu, s[1:]))[..., None])[..., 0]
+    Gamma = -np.linalg.solve(Q, _T(exp.M) + FuT_S @ exp.Fx)
+    gamma = -np.linalg.solve(Q, (exp.d + _mv(FuT, s[1:]))[..., None])[..., 0]
     return S, s, FeedbackLaw(Gamma, gamma)
 
 
@@ -306,13 +304,11 @@ def rollout_combine(first: RolloutElement, second: RolloutElement) -> RolloutEle
     """Compose affine maps, applying ``first`` then ``second``."""
     return RolloutElement(
         F=second.F @ first.F,
-        e=second.F @ first.e + second.e,
+        e=_mv(second.F, first.e) + second.e,
     )
 
 
-def propagation_pass(law: FeedbackLaw, exp: StageExpansion,
-                     executor: str = SEQUENTIAL,
-                     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
+def propagation_pass(law: FeedbackLaw, exp: StageExpansion
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-loop deviations (dx, du) under the feedback law, from dx_1 = 0.
 
@@ -320,17 +316,9 @@ def propagation_pass(law: FeedbackLaw, exp: StageExpansion,
     chained by a prefix scan; deviation states are the offsets of the
     combined maps and controls follow from the law.
     """
-    n, d_x = exp.horizon, exp.d_x
     F = exp.Fx + exp.Fu @ law.Gamma
-    e = np.einsum("tij,tj->ti", exp.Fu, law.gamma)
-    # dx_1 = 0, so the head element is a pure offset
-    elements = [RolloutElement(np.zeros((d_x, d_x)), e[0])]
-    elements += [RolloutElement(F[t], e[t]) for t in range(1, n)]
-    prefix = scan(elements, rollout_combine, ScanDirection.FORWARD, executor,
-                  parallel_threshold=parallel_threshold)
-    dxs = np.empty((n + 1, d_x))
-    dxs[0] = 0.0
-    for t in range(n):
-        dxs[t + 1] = prefix[t].e
-    dus = np.einsum("tij,tj->ti", law.Gamma, dxs[:-1]) + law.gamma
+    F[0] = 0.0  # dx_1 = 0, so the head element is a pure offset
+    prefix = scan(RolloutElement(F, _mv(exp.Fu, law.gamma)), rollout_combine)
+    dxs = np.vstack([np.zeros(exp.d_x), prefix.e])
+    dus = _mv(law.Gamma, dxs[:-1]) + law.gamma
     return dxs, dus

@@ -1,35 +1,25 @@
-"""Generic associative scan with sequential and parallel executors.
+"""Generic associative scan, run level by level as batched combines.
 
-The parallel executor runs a work-efficient up-sweep/down-sweep schedule
-(inclusive variant) whose critical path is at most 2*ceil(log2 n) combine
-applications.  Operands are never swapped, so non-commutative combines are
-safe.  Suffix scans are executed by mirroring indices and flipping operand
-order of the combine.
+The schedule is the work-efficient inclusive up-sweep/down-sweep of
+Blelloch ("Prefix sums and their applications", 1990), whose critical path
+is at most 2*ceil(log2 n) combine applications.  The operations of one
+level touch disjoint destinations, so each level runs as a single
+``combine`` call on strided slices of the stacked elements.  Operands are
+never swapped, so non-commutative combines are safe.  Suffix scans run the
+same plan on the reversed stack with the operands of the combine flipped.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from enum import Enum
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
+
+import numpy as np
 
 from .exceptions import EmptySequenceError
 
 E = TypeVar("E")
-
-SEQUENTIAL = "sequential"
-PARALLEL = "parallel"
-EXECUTORS = (SEQUENTIAL, PARALLEL)
-
-# Inputs shorter than this run on the sequential path even under the
-# parallel executor; tree scheduling is pure overhead for tiny scans.
-DEFAULT_PARALLEL_THRESHOLD = 32
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 class ScanDirection(Enum):
@@ -37,133 +27,88 @@ class ScanDirection(Enum):
     REVERSE = "reverse"   # out[t] = a_t * ... * a_{n-1}
 
 
-def _worker_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max_workers=min(32, os.cpu_count() or 1),
-                thread_name_prefix="pintoc-scan",
-            )
-        return _pool
+def scan_plan(n: int) -> list[tuple[range, range]]:
+    """Combine schedule of :func:`scan` for ``n`` elements.
 
-
-def scan_plan(n: int) -> list[list[tuple[int, int]]]:
-    """Combine schedule of the parallel executor for ``n`` elements.
-
-    Returns a list of levels; each level is a list of ``(src, dst)`` pairs
-    meaning ``buf[dst] = combine(buf[src], buf[dst])`` with ``src < dst``.
-    Pairs within a level touch disjoint destinations and may run
-    concurrently.
+    Returns one ``(src, dst)`` pair of equally long index ranges per level,
+    meaning ``buf[dst[i]] = combine(buf[src[i]], buf[dst[i]])`` with
+    ``src[i] < dst[i]``.  Destinations within a level are disjoint, and
+    :func:`scan` executes each level as one batched ``combine`` call.
     """
     if n < 1:
         raise EmptySequenceError("scan plan requires at least one element")
-    if n == 1:
-        return []
-    n_levels = math.ceil(math.log2(n))
+    n_levels = math.ceil(math.log2(n)) if n > 1 else 0
     levels = []
     for lev in range(n_levels):  # up-sweep
         dk = 1 << lev
-        ops = [(k - dk, k) for k in range(2 * dk - 1, n, 2 * dk)]
-        if ops:
-            levels.append(ops)
+        dst = range(2 * dk - 1, n, 2 * dk)
+        if dst:
+            levels.append((range(dk - 1, n - dk, 2 * dk), dst))
     for lev in range(n_levels - 2, -1, -1):  # down-sweep
         dk = 1 << lev
-        ops = [(k, k + dk) for k in range(2 * dk - 1, n - dk, 2 * dk)]
-        if ops:
-            levels.append(ops)
+        dst = range(3 * dk - 1, n, 2 * dk)
+        if dst:
+            levels.append((range(2 * dk - 1, n - dk, 2 * dk), dst))
     return levels
 
 
 def scan_depth_probe(n: int) -> int:
-    """Critical-path length (dependent combines) of the parallel plan.
+    """Critical-path length (dependent combines) of :func:`scan` on ``n``.
 
     This is the checkable form of the logarithmic-span property: the result
-    is bounded by ``2 * ceil(log2 n)`` for every ``n >= 1``.  The small-input
-    sequential fallback of :func:`scan` does not change the plan reported
-    here; it only short-circuits inputs where tree scheduling cannot pay off.
+    is bounded by ``2 * ceil(log2 n)`` for every ``n >= 1``.  It walks the
+    same :func:`scan_plan` that the engine executes.
     """
     if n < 1:
         raise EmptySequenceError("depth probe requires n >= 1")
-    depth = [0] * n
-    for level in scan_plan(n):
-        for src, dst in level:
-            depth[dst] = max(depth[src], depth[dst]) + 1
-    return max(depth)
+    depth = np.zeros(n, dtype=int)
+    for src, dst in scan_plan(n):
+        depth[_slice(dst)] = np.maximum(depth[_slice(src)], depth[_slice(dst)]) + 1
+    return int(depth.max())
 
 
-def _sequential_forward(elements: Sequence[E], combine: Callable[[E, E], E]) -> list[E]:
-    out = [elements[0]]
-    acc = elements[0]
-    for el in elements[1:]:
-        acc = combine(acc, el)
-        out.append(acc)
-    return out
+def _slice(r: range) -> slice:
+    return slice(r.start, r.stop, r.step)
 
 
-def _sequential_reverse(elements: Sequence[E], combine: Callable[[E, E], E]) -> list[E]:
-    n = len(elements)
-    out: list[E] = [None] * n  # type: ignore[list-item]
-    acc = elements[-1]
-    out[-1] = acc
-    for t in range(n - 2, -1, -1):
-        acc = combine(elements[t], acc)
-        out[t] = acc
-    return out
-
-
-def _run_level(buf: list, combine, ops: list[tuple[int, int]]) -> None:
-    for src, dst in ops:
-        buf[dst] = combine(buf[src], buf[dst])
-
-
-def _parallel_forward(elements: Sequence[E], combine: Callable[[E, E], E]) -> list[E]:
-    buf = list(elements)
-    pool = _worker_pool()
-    n_workers = pool._max_workers
-    for level in scan_plan(len(buf)):
-        if len(level) == 1:
-            _run_level(buf, combine, level)
-            continue
-        chunk = max(1, math.ceil(len(level) / n_workers))
-        futures = [
-            pool.submit(_run_level, buf, combine, level[i:i + chunk])
-            for i in range(0, len(level), chunk)
-        ]
-        for fut in futures:
-            fut.result()
-    return buf
+def _map(fn, elements):
+    """Apply ``fn`` to an array, or to each field of a NamedTuple of arrays."""
+    if isinstance(elements, tuple):
+        return elements._make(map(fn, elements))
+    return fn(elements)
 
 
 def scan(
-    elements: Sequence[E],
+    elements: E,
     combine: Callable[[E, E], E],
     direction: ScanDirection = ScanDirection.FORWARD,
-    executor: str = SEQUENTIAL,
-    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
-) -> list[E]:
-    """All partial folds of ``elements`` under an associative ``combine``.
+) -> E:
+    """All partial folds of stacked ``elements`` under an associative ``combine``.
 
-    ``combine(a, b)`` is always called with ``a`` preceding ``b`` in sequence
-    order, for both directions, so non-commutative operators are safe.
-    Parallel and sequential executors agree up to floating-point
-    reassociation.
+    ``elements`` is an array, or a NamedTuple of arrays, whose leading axis
+    indexes the sequence; the result has the same structure.  ``combine``
+    receives two such stacks of equal length and combines them row by row;
+    ``combine(a, b)`` is always called with ``a`` preceding ``b`` in
+    sequence order, for both directions, so non-commutative operators are
+    safe.  The input is not modified.
 
     Raises:
         EmptySequenceError: if ``elements`` is empty.
     """
-    n = len(elements)
+    if direction is ScanDirection.REVERSE:
+        flipped = scan(_map(lambda a: a[::-1], elements),
+                       lambda a, b: combine(b, a))
+        return _map(lambda a: a[::-1], flipped)
+    buf = _map(np.array, elements)
+    n = len(buf[0] if isinstance(buf, tuple) else buf)
     if n == 0:
         raise EmptySequenceError("cannot scan an empty sequence")
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
-    if executor == SEQUENTIAL or n < max(2, parallel_threshold):
-        if direction is ScanDirection.FORWARD:
-            return _sequential_forward(elements, combine)
-        return _sequential_reverse(elements, combine)
-    if direction is ScanDirection.FORWARD:
-        return _parallel_forward(elements, combine)
-    flipped = lambda a, b: combine(b, a)
-    out = _parallel_forward(list(reversed(elements)), flipped)
-    out.reverse()
-    return out
+    for src, dst in scan_plan(n):
+        src, dst = _slice(src), _slice(dst)
+        out = combine(_map(lambda a: a[src], buf), _map(lambda a: a[dst], buf))
+        if isinstance(buf, tuple):
+            for field, value in zip(buf, out):
+                field[dst] = value
+        else:
+            buf[dst] = out
+    return buf

@@ -10,11 +10,14 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    forward_closed_loop,
     kkt_subproblem,
     lq_bundle,
     lq_optimum,
     random_expansion,
     rand_spd,
+    riccati_backward,
+    sequential_costates,
 )
 
 from pintoc import (
@@ -43,12 +46,12 @@ from pintoc import (
     rollout_combine,
     scan_depth_probe,
     swingup_start,
+    total_cost,
     value_combine,
     value_pass,
 )
 from pintoc.bench import RunConfig, draw_initial_controls, run_mpc
 from pintoc.outer import AdmmAugmentation
-from pintoc.scan import PARALLEL, SEQUENTIAL
 
 HORIZON_SET = (2, 3, 7, 16, 33, 64, 100)
 
@@ -69,27 +72,25 @@ def test_criterion_1_executor_equivalence():
         n = HORIZON_SET[i % len(HORIZON_SET)]
         d_x = int(rng.integers(1, 4))
         d_u = int(rng.integers(1, 4))
-        # the three passes on a random subproblem expansion
+        # the three passes on a random subproblem expansion, against the
+        # sequential Riccati recursion and closed-loop rollout
         exp = random_expansion(rng, n, d_x, d_u, alpha=0.1)
-        S_s, s_s, law_s = value_pass(exp, SEQUENTIAL)
-        S_p, s_p, law_p = value_pass(exp, PARALLEL, parallel_threshold=2)
-        worst_pass = max(worst_pass, _rel_gap(S_s, S_p), _rel_gap(s_s, s_p),
-                         _rel_gap(law_s.gamma, law_p.gamma))
-        dx_s, du_s = propagation_pass(law_s, exp, SEQUENTIAL)
-        dx_p, du_p = propagation_pass(law_s, exp, PARALLEL, parallel_threshold=2)
-        worst_pass = max(worst_pass, _rel_gap(dx_s, dx_p), _rel_gap(du_s, du_p))
+        S, s, law = value_pass(exp)
+        S_o, s_o, Gam_o, gam_o = riccati_backward(exp)
+        worst_pass = max(worst_pass, _rel_gap(S_o, S), _rel_gap(s_o, s),
+                         _rel_gap(Gam_o, law.Gamma), _rel_gap(gam_o, law.gamma))
+        dx, du = propagation_pass(law, exp)
+        dx_o, du_o = forward_closed_loop(exp, law.Gamma, law.gamma)
+        worst_pass = max(worst_pass, _rel_gap(dx_o, dx), _rel_gap(du_o, du))
         # co-state pass plus full solves on a random LQ problem
         dyn, cost, x1, init = lq_bundle(rng, n, d_x, d_u)
         traj = rollout(dyn, x1, rng.normal(size=(n, d_u)))
-        lam_s = costate_pass(traj, cost, ZeroAugmentation(), dyn, SEQUENTIAL)
-        lam_p = costate_pass(traj, cost, ZeroAugmentation(), dyn, PARALLEL,
-                             parallel_threshold=2)
-        worst_pass = max(worst_pass, _rel_gap(lam_s, lam_p))
-        _, rep_s = newton_solve(dyn, cost, None, init,
-                                NewtonOptions(executor=SEQUENTIAL))
-        _, rep_p = newton_solve(dyn, cost, None, init,
-                                NewtonOptions(executor=PARALLEL))
-        gap = abs(rep_s.final_cost - rep_p.final_cost) / max(1.0, abs(rep_s.final_cost))
+        lam = costate_pass(traj, cost, ZeroAugmentation(), dyn)
+        lam_o = sequential_costates(traj, cost, ZeroAugmentation(), dyn)
+        worst_pass = max(worst_pass, _rel_gap(lam_o, lam))
+        _, rep = newton_solve(dyn, cost, None, init, NewtonOptions())
+        best = total_cost(cost, ZeroAugmentation(), lq_optimum(dyn, cost, x1, n))
+        gap = abs(rep.final_cost - best) / max(1.0, abs(best))
         worst_solve = max(worst_solve, gap)
     assert worst_pass < 1e-8
     assert worst_solve < 1e-6

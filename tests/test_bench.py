@@ -43,18 +43,10 @@ def test_benchmark_deterministic_iteration_counts():
     assert [r.converged for r in a] == [r.converged for r in b]
 
 
-def test_benchmark_executor_agreement():
-    base = dict(system="pendulum", solver="barrier", seed=5, horizons=(12,),
-                repetitions=1, total_time=0.8, inner_tol=1e-6, max_inner=60)
-    seq = run_benchmark(RunConfig(executor="sequential", **base))
-    par = run_benchmark(RunConfig(executor="parallel", **base))
-    assert [r.converged for r in seq] == [r.converged for r in par]
-
-
 def test_csv_round_trip(tmp_path):
     records = [
-        BenchmarkRecord("pendulum", "barrier", "sequential", 20, 0, 0.125, 5, 40, True),
-        BenchmarkRecord("cartpole", "admm", "parallel", 100, 3, 2.5, 30, 300, False),
+        BenchmarkRecord("pendulum", "barrier", 20, 0, 0.125, 5, 40, True),
+        BenchmarkRecord("cartpole", "admm", 100, 3, 2.5, 30, 300, False),
     ]
     path = tmp_path / "bench.csv"
     write_benchmark_csv(records, path)
@@ -65,16 +57,16 @@ def test_csv_round_trip(tmp_path):
 
 def test_emit_plotdata_aggregates(tmp_path):
     records = []
-    for executor in ("sequential", "parallel"):
+    for solver in ("barrier", "admm"):
         for horizon in (10, 20, 40, 80):
             for rep in range(3):
                 records.append(BenchmarkRecord(
-                    "pendulum", "barrier", executor, horizon, rep,
+                    "pendulum", solver, horizon, rep,
                     0.01 * horizon + 0.001 * rep, 5, 50, True))
     paths = emit_plotdata(records, tmp_path)
     with open(paths[0]) as handle:
         rows = list(csv.DictReader(handle))
-    assert len(rows) == 8  # two executors x four horizons
+    assert len(rows) == 8  # two solvers x four horizons
     single = emit_plotdata(records[:1], tmp_path)
     with open(single[0]) as handle:
         row = next(csv.DictReader(handle))

@@ -123,9 +123,10 @@ def test_fd_fallback_models_agree_with_analytic(rng):
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # importing scipy.optimize once pushed the benchmark's set-up time and
-    # peak memory past their bounds; scipy.linalg costs the same way
-    code = ("import sys, pintoc; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))")
+    # peak memory past their bounds; scipy.linalg costs the same way, and
+    # pintoc needs no SciPy module at all
+    code = ("import sys, pintoc; print(sorted(m for m in "
+            "('scipy', 'scipy.linalg', 'scipy.optimize') if m in sys.modules))")
     src = str(Path(pintoc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

@@ -25,7 +25,6 @@ from pintoc import (
 )
 from pintoc.bench import RunConfig, draw_initial_controls
 from pintoc.passes import costate_pass, hamiltonian_expansion
-from pintoc.scan import PARALLEL, SEQUENTIAL
 
 
 def test_regularization_update_formula():
@@ -204,19 +203,6 @@ def test_predicted_reduction_formula(rng):
         model_decrease = -(grad @ (s * du) + 0.5 * (s * du) @ H @ (s * du))
         got = predicted_reduction(du.reshape(n, d_u), grad.reshape(n, d_u), alpha, s)
         assert np.isclose(got, model_decrease, rtol=1e-12, atol=0.0)
-
-
-def test_executor_invariance_full_solve(rng):
-    prob = make_swingup_problem("pendulum", 40, 0.05)
-    controls = 0.4 * rng.standard_normal((40, 1))
-    init = rollout(prob.dynamics, np.array([np.pi, 0.0]), controls)
-    aug = BarrierAugmentation(prob.constraints, 0.1)
-    traj_s, rep_s = newton_solve(prob.dynamics, prob.cost, aug, init,
-                                 NewtonOptions(max_iters=60, executor=SEQUENTIAL))
-    traj_p, rep_p = newton_solve(prob.dynamics, prob.cost, aug, init,
-                                 NewtonOptions(max_iters=60, executor=PARALLEL))
-    rel = abs(rep_s.final_cost - rep_p.final_cost) / max(1.0, abs(rep_s.final_cost))
-    assert rel < 1e-6
 
 
 def test_first_order_optimality_on_barrier_subproblem(rng):

@@ -13,6 +13,7 @@ from conftest import (
 
 from pintoc import (
     BarrierAugmentation,
+    ConditioningError,
     CostateElement,
     DefinitenessError,
     FeedbackLaw,
@@ -36,7 +37,6 @@ from pintoc import (
     value_pass,
 )
 from pintoc.derivcheck import fd_jacobian
-from pintoc.scan import PARALLEL, SEQUENTIAL
 
 
 def element_close(a, b, tol=1e-12):
@@ -193,12 +193,12 @@ def test_value_element_decoupled_case(rng):
     Fu = rng.normal(size=(1, 2, 2))
     exp = _expansion_from_arrays(P, R, np.zeros((1, 2, 2)), np.zeros((1, 2)),
                                  Fx, Fu, np.eye(2))
-    el = value_elements(exp)[0]
-    assert np.allclose(el.A, Fx[0])
-    assert np.allclose(el.Y, P[0])
-    assert np.allclose(el.C, Fu[0] @ np.linalg.solve(R[0], Fu[0].T))
-    assert np.allclose(el.eta, 0.0)
-    assert np.allclose(el.b, 0.0)
+    els = value_elements(exp)
+    assert np.allclose(els.A[0], Fx[0])
+    assert np.allclose(els.Y[0], P[0])
+    assert np.allclose(els.C[0], Fu[0] @ np.linalg.solve(R[0], Fu[0].T))
+    assert np.allclose(els.eta[0], 0.0)
+    assert np.allclose(els.b[0], 0.0)
 
 
 def test_value_element_scalar_example():
@@ -213,12 +213,12 @@ def test_value_element_scalar_example():
                          exp.d[0])
     r = -np.linalg.solve(exp.P[0], exp.M[0] @ q)
     assert np.allclose(q, -1.0) and np.allclose(r, 0.0)
-    el = value_elements(exp)[0]
-    assert np.allclose(el.A, 1.0)
-    assert np.allclose(el.Y, 2.0)
-    assert np.allclose(el.C, 1.0)
-    assert np.allclose(el.eta, 0.0)
-    assert np.allclose(el.b, -1.0)
+    els = value_elements(exp)
+    assert np.allclose(els.A[0], 1.0)
+    assert np.allclose(els.Y[0], 2.0)
+    assert np.allclose(els.C[0], 1.0)
+    assert np.allclose(els.eta[0], 0.0)
+    assert np.allclose(els.b[0], -1.0)
 
 
 def test_value_element_terminal():
@@ -226,9 +226,10 @@ def test_value_element_terminal():
         P=np.zeros((1, 2, 2)), R=np.eye(2)[None], M=np.zeros((1, 2, 2)),
         d=np.zeros((1, 2)), Fx=np.eye(2)[None], Fu=np.eye(2)[None],
         PT=np.diag([3.0, 4.0]))
-    el = value_elements(exp)[1]
-    assert np.allclose(el.Y, np.diag([3.0, 4.0]))
-    for part in (el.A, el.C, el.eta, el.b):
+    els = value_elements(exp)
+    assert all(len(field) == 2 for field in els)
+    assert np.allclose(els.Y[1], np.diag([3.0, 4.0]))
+    for part in (els.A[1], els.C[1], els.eta[1], els.b[1]):
         assert np.allclose(part, 0.0)
 
 
@@ -247,13 +248,13 @@ def test_value_element_feedforward_route_equivalent(rng):
         Fu = rng.normal(size=(d_x, d_u))
         exp = _expansion_from_arrays(P[None], R[None], M[None], d[None],
                                      Fx[None], Fu[None], np.eye(d_x))
-        el = value_elements(exp)[0]
+        els = value_elements(exp)
         q = -np.linalg.solve(R - M.T @ np.linalg.solve(P, M), d)
         r = -np.linalg.solve(P, M @ q)
         eta_printed = (P - M @ np.linalg.solve(R, M.T)) @ r
         b_printed = Fu @ np.linalg.solve(R, M.T @ r) + Fu @ q
-        assert np.allclose(el.eta, eta_printed, atol=1e-9)
-        assert np.allclose(el.b, b_printed, atol=1e-9)
+        assert np.allclose(els.eta[0], eta_printed, atol=1e-9)
+        assert np.allclose(els.b[0], b_printed, atol=1e-9)
 
 
 def test_value_element_indefinite_r_raises():
@@ -284,6 +285,24 @@ def test_value_combine_scalar_example():
     assert np.allclose(out.C, 1.5)
     assert np.allclose(out.eta, 0.0)
     assert np.allclose(out.b, 0.0)
+
+
+def test_value_combine_singular_pair_in_batch_raises(rng):
+    # five pairs combined in one call; only pair 3 has I + C_left Y_right = 0
+    from conftest import rand_spd
+    k, d_x = 5, 2
+    left = ValueElement(rng.normal(size=(k, d_x, d_x)),
+                        np.stack([rand_spd(rng, d_x) for _ in range(k)]),
+                        np.stack([rand_spd(rng, d_x) for _ in range(k)]),
+                        rng.normal(size=(k, d_x)), rng.normal(size=(k, d_x)))
+    right = ValueElement(rng.normal(size=(k, d_x, d_x)),
+                         np.stack([rand_spd(rng, d_x) for _ in range(k)]),
+                         np.stack([rand_spd(rng, d_x) for _ in range(k)]),
+                         rng.normal(size=(k, d_x)), rng.normal(size=(k, d_x)))
+    value_combine(left, right)  # every pair regular
+    left.C[3], right.Y[3] = -np.eye(d_x), np.eye(d_x)
+    with pytest.raises(ConditioningError):
+        value_combine(left, right)
 
 
 def test_value_combine_associative(rng):
@@ -422,7 +441,7 @@ def test_propagation_single_stage(rng):
 
 
 # ---------------------------------------------------------------------------
-# subproblem optimality and executor equivalence
+# subproblem optimality and agreement with the sequential oracles
 # ---------------------------------------------------------------------------
 
 def test_scan_solution_matches_kkt(rng):
@@ -441,12 +460,15 @@ def test_scan_solution_matches_kkt(rng):
 
 @pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 64, 100])
 def test_pass_executor_equivalence(n, rng):
+    # the scan passes against the sequential Riccati and closed-loop oracles
     exp = random_expansion(rng, n, 2, 1)
-    S_s, s_s, law_s = value_pass(exp, SEQUENTIAL)
-    S_p, s_p, law_p = value_pass(exp, PARALLEL, parallel_threshold=2)
-    assert np.abs(S_s - S_p).max() / max(1.0, np.abs(S_s).max()) < 1e-8
-    assert np.abs(law_s.gamma - law_p.gamma).max() / max(
-        1.0, np.abs(law_s.gamma).max()) < 1e-8
-    dxs_s, dus_s = propagation_pass(law_s, exp, SEQUENTIAL)
-    dxs_p, dus_p = propagation_pass(law_s, exp, PARALLEL, parallel_threshold=2)
-    assert np.abs(dus_s - dus_p).max() / max(1.0, np.abs(dus_s).max()) < 1e-8
+    def rel_gap(got, oracle):
+        return np.abs(got - oracle).max() / max(1.0, np.abs(oracle).max())
+
+    S, s, law = value_pass(exp)
+    S_o, s_o, Gam_o, gam_o = riccati_backward(exp)
+    assert rel_gap(S, S_o) < 1e-8 and rel_gap(s, s_o) < 1e-8
+    assert rel_gap(law.Gamma, Gam_o) < 1e-8 and rel_gap(law.gamma, gam_o) < 1e-8
+    dxs, dus = propagation_pass(law, exp)
+    dxs_o, dus_o = forward_closed_loop(exp, law.Gamma, law.gamma)
+    assert rel_gap(dxs, dxs_o) < 1e-8 and rel_gap(dus, dus_o) < 1e-8

@@ -1,21 +1,29 @@
 """Scan engine: correctness, operand ordering, span, and work bounds."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from pintoc import EmptySequenceError, ScanDirection, scan, scan_depth_probe, scan_plan
-from pintoc.scan import PARALLEL, SEQUENTIAL
+
+
+def fold_all(elems, op, direction):
+    """Every partial left fold, one at a time: the sequential reference."""
+    if direction is ScanDirection.FORWARD:
+        return list(itertools.accumulate(elems, op))
+    return [functools.reduce(op, elems[t:]) for t in range(len(elems))]
 
 
 def test_prefix_sum_integers():
-    assert scan([1, 2, 3, 4], lambda a, b: a + b) == [1, 3, 6, 10]
+    assert scan(np.array([1, 2, 3, 4]), np.add).tolist() == [1, 3, 6, 10]
 
 
 def test_reverse_string_concat_order():
-    out = scan(["a", "b", "c"], lambda a, b: a + b, ScanDirection.REVERSE)
-    assert out == ["abc", "bc", "c"]
+    out = scan(np.array(["a", "b", "c"], dtype=object), np.add, ScanDirection.REVERSE)
+    assert out.tolist() == ["abc", "bc", "c"]
 
 
 @pytest.mark.parametrize("direction", list(ScanDirection))
@@ -24,36 +32,28 @@ def test_parallel_matches_sequential_noncommutative(direction, n):
     # string concat is associative and non-commutative: any operand swap
     # or reordering would change the exact result
     elems = [f"<{i}>" for i in range(n)]
-    seq = scan(elems, lambda a, b: a + b, direction, SEQUENTIAL)
-    par = scan(elems, lambda a, b: a + b, direction, PARALLEL, parallel_threshold=2)
-    assert par == seq
+    out = scan(np.array(elems, dtype=object), np.add, direction)
+    assert out.tolist() == fold_all(elems, lambda a, b: a + b, direction)
 
 
 def test_matrix_chain_parallel_vs_sequential(rng):
     mats = [np.eye(2) + 0.3 * rng.normal(size=(2, 2)) for _ in range(64)]
-    seq = scan(mats, np.matmul, ScanDirection.FORWARD, SEQUENTIAL)
-    par = scan(mats, np.matmul, ScanDirection.FORWARD, PARALLEL, parallel_threshold=2)
-    for a, b in zip(seq, par):
+    out = scan(np.stack(mats), np.matmul, ScanDirection.FORWARD)
+    for a, b in zip(fold_all(mats, np.matmul, ScanDirection.FORWARD), out):
         assert np.allclose(a, b, atol=1e-10)
 
 
 def test_reverse_equals_forward_of_reversed(rng):
     mats = [np.eye(3) + 0.2 * rng.normal(size=(3, 3)) for _ in range(33)]
-    rev = scan(mats, np.matmul, ScanDirection.REVERSE, PARALLEL, parallel_threshold=2)
-    flipped = scan(list(reversed(mats)), lambda a, b: b @ a,
-                   ScanDirection.FORWARD, SEQUENTIAL)
-    for a, b in zip(rev, reversed(flipped)):
+    rev = scan(np.stack(mats), np.matmul, ScanDirection.REVERSE)
+    flipped = itertools.accumulate(reversed(mats), lambda a, b: b @ a)
+    for a, b in zip(rev, reversed(list(flipped))):
         assert np.allclose(a, b, atol=1e-10)
 
 
 def test_empty_input_raises():
     with pytest.raises(EmptySequenceError):
-        scan([], lambda a, b: a + b)
-
-
-def test_unknown_executor_rejected():
-    with pytest.raises(ValueError):
-        scan([1, 2], lambda a, b: a + b, executor="gpu")
+        scan(np.array([]), np.add)
 
 
 def test_depth_probe_trivial_cases():
@@ -70,27 +70,42 @@ def test_depth_probe_log_bound_full_range():
 
 def test_work_is_linear():
     for n in range(2, 1025):
-        ops = sum(len(level) for level in scan_plan(n))
+        ops = sum(len(dst) for _, dst in scan_plan(n))
         assert ops <= 4 * n
 
 
+def test_combine_calls_follow_the_plan():
+    # the engine runs one batched combine per level of the plan, so its
+    # chain of dependent combine calls is as long as the plan is deep
+    for n in range(1, 1025):
+        batches = []
+
+        def counted(a, b):
+            batches.append(len(a))
+            return a + b
+
+        elems = np.arange(1, n + 1)
+        out = scan(elems, counted)
+        bound = 2 * math.ceil(math.log2(n)) if n > 1 else 0
+        assert len(batches) == len(scan_plan(n)) <= bound, n
+        assert sum(batches) <= 4 * n, n
+        assert out.tolist() == list(itertools.accumulate(elems.tolist())), n
+
+
 def test_exact_equality_integer_operator():
-    # with an exact operator the two executors must agree exactly
+    # with an exact operator the engine must match the left fold exactly
     rng = np.random.default_rng(7)
     for n in [2, 5, 31, 64]:
-        elems = [int(v) for v in rng.integers(-50, 50, size=n)]
-        seq = scan(elems, lambda a, b: a + b, ScanDirection.FORWARD, SEQUENTIAL)
-        par = scan(elems, lambda a, b: a + b, ScanDirection.FORWARD, PARALLEL,
-                   parallel_threshold=2)
-        assert seq == par
+        elems = rng.integers(-50, 50, size=n)
+        out = scan(elems, np.add, ScanDirection.FORWARD)
+        assert out.tolist() == fold_all(elems.tolist(), lambda a, b: a + b,
+                                        ScanDirection.FORWARD)
 
 
 def test_float_agreement_well_conditioned(rng):
     for n in [33, 50, 64]:
         mats = [np.eye(2) + 0.25 * rng.normal(size=(2, 2)) for _ in range(n)]
-        seq = scan(mats, np.matmul, ScanDirection.REVERSE, SEQUENTIAL)
-        par = scan(mats, np.matmul, ScanDirection.REVERSE, PARALLEL,
-                   parallel_threshold=2)
-        for a, b in zip(seq, par):
+        out = scan(np.stack(mats), np.matmul, ScanDirection.REVERSE)
+        for a, b in zip(fold_all(mats, np.matmul, ScanDirection.REVERSE), out):
             denom = max(1.0, float(np.abs(a).max()))
             assert np.abs(a - b).max() / denom < 1e-9
