@@ -203,12 +203,6 @@ def validate_solution(problem: ControlProblem, traj: Trajectory,
     return bool(improvement <= 1e-5)
 
 
-def report_cost(report) -> float:
-    if isinstance(report, BarrierReport):
-        return report.rounds[-1].cost if report.rounds else 0.0
-    return report.newton_reports[-1].final_cost if report.newton_reports else 0.0
-
-
 def run_benchmark(config: RunConfig) -> list[BenchmarkRecord]:
     """Timed swing-up solves over the configured horizons and repetitions.
 

@@ -28,7 +28,7 @@ from .problem import (
 # ---------------------------------------------------------------------------
 
 class BarrierAugmentation(AugmentedCost):
-    """Log-barrier penalty ``-mu * sum(log(-g) + log(-h))``.
+    """Log-barrier penalty ``-mu * sum(log(-w))``.
 
     Defined only on the strict interior; evaluation at a point with any
     constraint component >= 0 raises :class:`InfeasibleError` carrying the
@@ -44,70 +44,18 @@ class BarrierAugmentation(AugmentedCost):
         self.constraints = constraints
         self.mu = float(mu)
 
-    def _checked(self, values: np.ndarray, offset: int) -> np.ndarray:
-        if values.size and values.max() >= 0:
-            stages, comps = np.nonzero(values >= 0)
+    def penalty(self, w, cols):
+        if w.size and w.max() >= 0:
+            stages, comps = np.nonzero(w >= 0)
             t, comp = int(stages[0]), int(comps[0])
-            raise InfeasibleError(t, comp + offset, float(values[t, comp]))
-        return values
-
-    def c_batch(self, xs, us):
-        con = self.constraints
-        g = self._checked(con.g_batch(xs), 0)
-        h = self._checked(con.h_batch(us), con.n_state)
-        total = np.zeros(len(us))
-        if g.size:
-            total += np.sum(np.log(-g), axis=1)
-        if h.size:
-            total += np.sum(np.log(-h), axis=1)
-        return -self.mu * total
-
-    def cx_batch(self, xs, us):
-        con = self.constraints
-        g = self._checked(con.g_batch(xs), 0)
-        if not g.size:
-            return np.zeros(xs.shape)
-        return -self.mu * np.einsum("tmi,tm->ti", con.gx_batch(xs), 1.0 / g)
-
-    def cu_batch(self, xs, us):
-        con = self.constraints
-        h = self._checked(con.h_batch(us), con.n_state)
-        if not h.size:
-            return np.zeros(us.shape)
-        return -self.mu * np.einsum("tmi,tm->ti", con.hu_batch(us), 1.0 / h)
-
-    def cxx_batch(self, xs, us):
-        con = self.constraints
-        g = self._checked(con.g_batch(xs), 0)
-        d_x = xs.shape[1]
-        if not g.size:
-            return np.zeros((len(us), d_x, d_x))
-        scaled = con.gx_batch(xs) / g[:, :, None]
-        return self.mu * (np.einsum("tmi,tmj->tij", scaled, scaled)
-                          - np.einsum("tm,tmij->tij", 1.0 / g, con.gxx_batch(xs)))
-
-    def cuu_batch(self, xs, us):
-        con = self.constraints
-        h = self._checked(con.h_batch(us), con.n_state)
-        d_u = us.shape[1]
-        if not h.size:
-            return np.zeros((len(us), d_u, d_u))
-        scaled = con.hu_batch(us) / h[:, :, None]
-        return self.mu * (np.einsum("tmi,tmj->tij", scaled, scaled)
-                          - np.einsum("tm,tmij->tij", 1.0 / h, con.huu_batch(us)))
-
-    def cxu_batch(self, xs, us):
-        # g depends on x only and h on u only, so the cross term vanishes
-        return np.zeros((len(us), xs.shape[1], us.shape[1]))
-
-
-def _stack_w(constraints: ConstraintModel, traj: Trajectory) -> np.ndarray:
-    return constraints.w_batch(traj.states[:-1], traj.controls)
+            raise InfeasibleError(t, cols.start + comp, float(w[t, comp]))
+        inv = 1.0 / w
+        return -self.mu * np.log(-w), -self.mu * inv, self.mu * inv * inv
 
 
 def assert_strictly_feasible(constraints: ConstraintModel, traj: Trajectory) -> None:
     """Raise with a list of violated components unless all w(x, u) < 0."""
-    w = _stack_w(constraints, traj)
+    w = constraints.w_batch(traj.states, traj.controls)
     violations = [(int(t), int(c), float(w[t, c])) for t, c in zip(*np.nonzero(w >= 0))]
     if violations:
         listing = "; ".join(
@@ -207,40 +155,9 @@ class AdmmAugmentation(AugmentedCost):
         if self.z.shape != self.v.shape:
             raise ValueError("z and v must have matching shapes")
 
-    def _residual(self, xs, us):
-        return self.constraints.w_batch(xs, us) - self.z + self.v / self.rho
-
-    def c_batch(self, xs, us):
-        res = self._residual(xs, us)
-        return 0.5 * self.rho * np.sum(res * res, axis=1)
-
-    def cx_batch(self, xs, us):
-        con = self.constraints
-        res = self._residual(xs, us)[:, : con.n_state]
-        return self.rho * np.einsum("tmi,tm->ti", con.gx_batch(xs), res)
-
-    def cu_batch(self, xs, us):
-        con = self.constraints
-        res = self._residual(xs, us)[:, con.n_state:]
-        return self.rho * np.einsum("tmi,tm->ti", con.hu_batch(us), res)
-
-    def cxx_batch(self, xs, us):
-        con = self.constraints
-        res = self._residual(xs, us)[:, : con.n_state]
-        jac = con.gx_batch(xs)
-        return self.rho * (np.einsum("tmi,tmj->tij", jac, jac)
-                           + np.einsum("tm,tmij->tij", res, con.gxx_batch(xs)))
-
-    def cuu_batch(self, xs, us):
-        con = self.constraints
-        res = self._residual(xs, us)[:, con.n_state:]
-        jac = con.hu_batch(us)
-        return self.rho * (np.einsum("tmi,tmj->tij", jac, jac)
-                           + np.einsum("tm,tmij->tij", res, con.huu_batch(us)))
-
-    def cxu_batch(self, xs, us):
-        # w components depend on x or on u, never both
-        return np.zeros((len(us), xs.shape[1], us.shape[1]))
+    def penalty(self, w, cols):
+        res = w - self.z[:, cols] + self.v[:, cols] / self.rho
+        return 0.5 * self.rho * res * res, self.rho * res, np.full_like(res, self.rho)
 
 
 def project_box(point: np.ndarray) -> np.ndarray:
@@ -306,7 +223,7 @@ def admm_solve(problem: ControlProblem, initial: Trajectory,
     con = problem.constraints
 
     traj = initial
-    z = project_box(_stack_w(con, traj))
+    z = project_box(con.w_batch(traj.states, traj.controls))
     v = np.zeros_like(z)
     residuals: list[tuple[float, float]] = []
     reports: list[NewtonReport] = []
@@ -315,7 +232,7 @@ def admm_solve(problem: ControlProblem, initial: Trajectory,
         aug = AdmmAugmentation(con, opts.rho, z, v)
         traj, nrep = newton_solve(problem.dynamics, problem.cost, aug, traj, opts.newton)
         reports.append(nrep)
-        w_val = _stack_w(con, traj)
+        w_val = con.w_batch(traj.states, traj.controls)
         z_prev = z
         z = project_box(w_val + v / opts.rho)
         v = v + opts.rho * (w_val - z)

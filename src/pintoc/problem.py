@@ -261,51 +261,81 @@ class BoxConstraint(ConstraintModel):
     def huu_batch(self, us):
         return np.zeros((len(us), self.n_control, self.d_u, self.d_u))
 
-    def clamp_controls(self, controls: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        """Clip controls into the box, optionally shrunk by a relative margin."""
-        lo, hi = self.control_lower, self.control_upper
-        if margin:
-            center = np.where(np.isfinite(lo) & np.isfinite(hi), 0.5 * (lo + hi), 0.0)
-            lo = np.where(np.isfinite(lo), center + (1 - margin) * (lo - center), lo)
-            hi = np.where(np.isfinite(hi), center + (1 - margin) * (hi - center), hi)
-        return np.clip(controls, lo, hi)
-
 
 class AugmentedCost(abc.ABC):
-    """Extra per-stage cost ``c_t(x, u)`` added by an outer solver.
+    """Extra stage cost ``c_t(x, u) = sum_i phi(w_i)`` added by an outer solver.
 
-    Values and derivatives are batched over stages like those of
-    :class:`CostModel`.  ``variant`` identifies the flavor: ``"zero"``,
-    ``"barrier"`` (log-barrier with parameter mu, defined only on the strict
-    interior) or ``"admm"`` (quadratic consensus penalty with parameters
-    rho, z, v).
+    ``w = [g(x); h(u)]`` are the stacked constraint values of the stage.  A
+    subclass supplies only ``penalty`` (``phi``, ``phi'`` and ``phi''``
+    entrywise); the derivatives, batched over stages like those of
+    :class:`CostModel`, follow by the chain rule written once here::
+
+        cx  = gx^T phi'(g)        cxx = gx^T diag(phi''(g)) gx + sum_i phi'(g_i) gxx_i
+        cu  = hu^T phi'(h)        cuu = hu^T diag(phi''(h)) hu + sum_i phi'(h_i) huu_i
+        cxu = 0
+
+    ``variant`` identifies the flavor: ``"zero"``, ``"barrier"`` (log-barrier
+    with parameter mu, defined only on the strict interior) or ``"admm"``
+    (quadratic consensus penalty with parameters rho, z, v).
     """
 
     variant: str = "zero"
+    constraints: ConstraintModel
 
     @abc.abstractmethod
-    def c_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
+    def penalty(self, w: np.ndarray, cols: slice) -> tuple[np.ndarray, ...]:
+        """``phi``, ``phi'`` and ``phi''`` of each entry of ``w``, which holds
+        the columns ``cols`` of the stacked ``[g; h]`` (one row per stage)."""
 
-    @abc.abstractmethod
-    def cx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
+    def _state_penalty(self, xs):
+        con = self.constraints
+        return self.penalty(con.g_batch(xs), slice(0, con.n_state))
 
-    @abc.abstractmethod
-    def cu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
+    def _control_penalty(self, us):
+        con = self.constraints
+        return self.penalty(con.h_batch(us), slice(con.n_state, con.n_total))
 
-    @abc.abstractmethod
-    def cxx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
+    def c_batch(self, xs, us):
+        # the state part first, so an infeasible g is reported before h
+        return (np.sum(self._state_penalty(xs)[0], axis=1)
+                + np.sum(self._control_penalty(us)[0], axis=1))
 
-    @abc.abstractmethod
-    def cuu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
+    def cx_batch(self, xs, us):
+        _, d1, _ = self._state_penalty(xs)
+        return np.einsum("tmi,tm->ti", self.constraints.gx_batch(xs), d1)
 
-    @abc.abstractmethod
-    def cxu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
+    def cu_batch(self, xs, us):
+        _, d1, _ = self._control_penalty(us)
+        return np.einsum("tmi,tm->ti", self.constraints.hu_batch(us), d1)
+
+    def cxx_batch(self, xs, us):
+        _, d1, d2 = self._state_penalty(xs)
+        con = self.constraints
+        return _chain_hessian(d1, d2, con.gx_batch(xs), con.gxx_batch(xs))
+
+    def cuu_batch(self, xs, us):
+        _, d1, d2 = self._control_penalty(us)
+        con = self.constraints
+        return _chain_hessian(d1, d2, con.hu_batch(us), con.huu_batch(us))
+
+    def cxu_batch(self, xs, us):
+        # g depends on x only and h on u only, so the cross term vanishes
+        return np.zeros((len(us), xs.shape[1], us.shape[1]))
+
+
+def _chain_hessian(d1, d2, jac, hess):
+    """``jac^T diag(d2) jac + sum_i d1_i hess_i`` at every stage."""
+    return (np.einsum("tmi,tmj->tij", jac * d2[:, :, None], jac)
+            + np.einsum("tm,tmij->tij", d1, hess))
 
 
 class ZeroAugmentation(AugmentedCost):
     """No augmentation; reduces the augmented objective to the plain cost."""
 
     variant = "zero"
+
+    def penalty(self, w, cols):
+        return (np.zeros_like(w),) * 3
 
     def c_batch(self, xs, us):
         return np.zeros(len(us))
@@ -323,9 +353,6 @@ class ZeroAugmentation(AugmentedCost):
     def cuu_batch(self, xs, us):
         n, d_u = us.shape
         return np.zeros((n, d_u, d_u))
-
-    def cxu_batch(self, xs, us):
-        return np.zeros((len(us), xs.shape[1], us.shape[1]))
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,36 @@ def test_barrier_infeasible_evaluation_raises():
         aug.c_batch(np.zeros((1, 1)), np.array([[2.0]]))
 
 
+def test_barrier_reports_stacked_component_index(rng):
+    box = BoxConstraint(2, 2, state_upper=(1.5, 1.5), control_upper=(2.0, 3.0))
+    aug = BarrierAugmentation(box, mu=0.3)
+    n_state = box.n_state
+    assert (n_state, box.n_control) == (2, 2)
+    xs = rng.uniform(-1.0, 1.0, size=(10, 2))
+    us = rng.uniform(-1.5, 1.5, size=(10, 2))
+
+    def reported(evaluator, xs, us):
+        with pytest.raises(InfeasibleError) as info:
+            evaluator(xs, us)
+        return info.value.stage, info.value.component
+
+    for j, bound in enumerate((2.0, 3.0)):
+        bad_u = us.copy()
+        bad_u[7, j] = bound + 0.5
+        for evaluator in (aug.c_batch, aug.cu_batch, aug.cuu_batch):
+            assert reported(evaluator, xs, bad_u) == (7, n_state + j)
+    for i in range(2):
+        bad_x = xs.copy()
+        bad_x[4, i] = 2.0
+        for evaluator in (aug.c_batch, aug.cx_batch, aug.cxx_batch):
+            assert reported(evaluator, bad_x, us) == (4, i)
+    # both violated, the control one at an earlier stage: g is checked first
+    bad_x, bad_u = xs.copy(), us.copy()
+    bad_x[5, 1] = 2.0
+    bad_u[2, 0] = 2.5
+    assert reported(aug.c_batch, bad_x, bad_u) == (5, 1)
+
+
 # ---------------------------------------------------------------------------
 # barrier solve
 # ---------------------------------------------------------------------------

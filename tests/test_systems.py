@@ -68,6 +68,21 @@ def test_cartpole_quarter_turn_accelerations():
     assert np.isclose(nxt[0], 0.0) and np.isclose(nxt[1], np.pi / 2)
 
 
+@pytest.mark.xfail(strict=True, reason="cart numerator of _cartpole_accel has l*omega "
+                   "where the textbook cart-pole has l*omega**2")
+def test_cartpole_centripetal_cart_acceleration():
+    # at theta = pi/2, zero force, the cart is pushed only by the pole's
+    # centripetal term: mp*l*omega^2 / (mc + mp) (Tedrake, Underactuated
+    # Robotics, ch. 3); the pole row already uses omega^2
+    params = CartPoleParams(dt=0.01)
+    omega = 2.0
+    x = np.array([0.0, np.pi / 2, 0.0, omega])
+    nxt = cartpole_step(x, np.zeros(1), params)
+    expected = params.pole_mass * params.pole_length * omega ** 2 / (
+        params.cart_mass + params.pole_mass)
+    assert np.isclose((nxt[2] - x[2]) / params.dt, expected)
+
+
 def test_cartpole_derivatives_at_random_points(rng):
     dyn = CartPoleDynamics(horizon=20, params=CartPoleParams(dt=0.02))
     points = [(rng.uniform((-1, -np.pi, -2, -3), (1, np.pi, 2, 3)),
