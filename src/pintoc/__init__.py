@@ -89,14 +89,13 @@ from .scan import (
 from .systems import (
     CartPoleDynamics,
     CartPoleParams,
+    JetDynamics,
     LinearDynamics,
     PendulumDynamics,
     PendulumParams,
     QuadraticCost,
-    cartpole_step,
     make_swingup_problem,
     pendulum_energy,
-    pendulum_step,
     swingup_goal,
     swingup_start,
 )

@@ -1,10 +1,12 @@
 """Finite-difference implementations of the model interfaces.
 
 These wrap plain per-stage callables so arbitrary user functions can be
-plugged into the solvers without hand-deriving Jacobians and Hessians.  The
+plugged into the solvers without deriving Jacobians and Hessians.  The
 batched derivatives difference the callable evaluated at every stage.  They
 trade accuracy and speed for convenience and are intended for prototyping
-and tests; the shipped benchmark systems provide analytic derivatives.
+and tests; a map written with ``+ - * /``, sine and cosine gets exact
+derivatives from :class:`pintoc.systems.JetDynamics` instead, as the shipped
+benchmark systems do.
 """
 
 from __future__ import annotations

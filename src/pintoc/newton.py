@@ -45,6 +45,8 @@ from .problem import (
 )
 
 ALPHA_MAX = 1e12
+ALPHA_MIN = 1e-6  # weight a rejected step at alpha == 0 is retried with
+NU0 = 2.0         # growth factor of alpha at the first of consecutive rejections
 TAU_BOUNDARY = 0.995  # fraction of the distance to the control boundary a step may cover
 
 TERM_COST = "converged_cost"
@@ -56,15 +58,12 @@ TERM_STALLED = "stalled"
 @dataclass(frozen=True)
 class NewtonOptions:
     alpha0: float = 1.0       # initial regularization weight
-    nu0: float = 2.0          # growth factor seed for rejected steps
     inner_tol: float = 1e-8   # relative cost-change / step-norm tolerance
     max_iters: int = 100
 
     def __post_init__(self):
         if self.alpha0 < 0:
             raise ValueError("alpha0 must be >= 0")
-        if self.nu0 <= 1:
-            raise ValueError("nu0 must be > 1")
         if self.inner_tol <= 0:
             raise ValueError("inner_tol must be > 0")
         if self.max_iters < 1:
@@ -108,13 +107,15 @@ def regularization_update(alpha: float, nu: float, ratio: float
                           ) -> tuple[float, float, bool]:
     """Levenberg-Marquardt weight update from the gain ratio.
 
-    A positive ratio accepts the step and shrinks ``alpha`` by up to a factor
-    of three; otherwise the step is rejected and ``alpha`` grows by ``nu``,
-    which itself doubles to escape persistent rejection.
+    A positive ratio accepts the step, shrinks ``alpha`` by up to a factor
+    of three and resets ``nu`` to ``NU0``; otherwise the step is rejected and
+    ``alpha`` grows by ``nu`` (from zero to ``ALPHA_MIN``, since zero cannot
+    grow multiplicatively), and ``nu`` itself doubles to escape persistent
+    rejection.
     """
     if ratio > 0:
-        return alpha * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), 2.0, True
-    return alpha * nu, 2.0 * nu, False
+        return alpha * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), NU0, True
+    return (alpha * nu if alpha > 0 else ALPHA_MIN), 2.0 * nu, False
 
 
 def predicted_reduction(dus: np.ndarray, d: np.ndarray, alpha: float,
@@ -219,15 +220,15 @@ def newton_solve(dyn: DynamicsModel, cost: CostModel, aug: AugmentedCost | None,
 
     traj = initial
     cur_cost = total_cost(cost, aug, traj)
-    alpha, nu = opts.alpha0, opts.nu0
+    alpha, nu = opts.alpha0, NU0
     expansion = None
     history: list[IterationRecord] = []
     termination = TERM_MAX_ITERS
 
     while len(history) < opts.max_iters:
         if expansion is None:
-            costates = costate_pass(traj, cost, aug, dyn)
-            expansion = hamiltonian_expansion(traj, costates, cost, aug, dyn, alpha)
+            costates, Fx = costate_pass(traj, cost, aug, dyn)
+            expansion = hamiltonian_expansion(traj, costates, Fx, cost, aug, dyn, alpha)
         elif expansion.alpha != alpha:
             expansion = expansion.with_alpha(alpha)
 
@@ -240,9 +241,7 @@ def newton_solve(dyn: DynamicsModel, cost: CostModel, aug: AugmentedCost | None,
                     f"subproblem unsolvable with alpha={alpha:.3e}: {err}"
                 ) from err
             history.append(IterationRecord(cur_cost, alpha, -math.inf, math.nan, False))
-            # alpha == 0 cannot grow multiplicatively; bump it off zero
-            alpha = alpha * nu if alpha > 0 else 1e-6
-            nu = 2.0 * nu
+            alpha, nu, _ = regularization_update(alpha, nu, -math.inf)
             continue
 
         step_norm = float(np.max(np.abs(dus)))

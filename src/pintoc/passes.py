@@ -134,12 +134,15 @@ def costate_combine(left: CostateElement, right: CostateElement) -> CostateEleme
 
 
 def costate_pass(traj: Trajectory, cost: CostModel, aug: AugmentedCost,
-                 dyn: DynamicsModel) -> np.ndarray:
-    """Adjoint vectors lambda_{1:N+1} of the augmented Lagrangian.
+                 dyn: DynamicsModel) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint vectors lambda_{1:N+1} of the augmented Lagrangian, and the
+    dynamics Jacobians ``fx`` they were built from.
 
-    The result satisfies the backward recursion
+    The adjoints satisfy the backward recursion
     ``lambda_t = lx_t + cx_t + fx_t^T lambda_{t+1}`` with the terminal
-    gradient as boundary, computed here as a suffix scan.
+    gradient as boundary, computed here as a suffix scan.  The Jacobians are
+    returned for :func:`hamiltonian_expansion`, which needs them at the same
+    nominal.
     """
     xs, us = traj.states[:-1], traj.controls
     lam_final = costate_boundary(cost, traj.states[-1])
@@ -153,21 +156,23 @@ def costate_pass(traj: Trajectory, cost: CostModel, aug: AugmentedCost,
         df=np.concatenate([dfs[:-1], np.zeros((1, dyn.d_x, dyn.d_x))]),
     )
     suffix = scan(elements, costate_combine, ScanDirection.REVERSE)
-    return np.vstack([suffix.dl + suffix.dc, lam_final])
+    return np.vstack([suffix.dl + suffix.dc, lam_final]), dfs
 
 
 # ---------------------------------------------------------------------------
 # quadratic expansion
 # ---------------------------------------------------------------------------
 
-def hamiltonian_expansion(traj: Trajectory, costates: np.ndarray, cost: CostModel,
-                          aug: AugmentedCost, dyn: DynamicsModel,
+def hamiltonian_expansion(traj: Trajectory, costates: np.ndarray, Fx: np.ndarray,
+                          cost: CostModel, aug: AugmentedCost, dyn: DynamicsModel,
                           alpha: float = 0.0) -> StageExpansion:
     """Second-order stage data (P, R, M, d) of the augmented Lagrangian.
 
-    Second derivatives of the dynamics enter through contraction with the
-    next adjoint vector, which is what distinguishes the Newton expansion
-    from a Gauss-Newton (iLQR) one.
+    ``costates`` and the dynamics Jacobians ``Fx`` are those returned by
+    :func:`costate_pass` at the same nominal.  Second derivatives of the
+    dynamics enter through contraction with the next adjoint vector, which
+    is what distinguishes the Newton expansion from a Gauss-Newton (iLQR)
+    one.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -186,7 +191,7 @@ def hamiltonian_expansion(traj: Trajectory, costates: np.ndarray, cost: CostMode
     P = _sym(P)
     R = _sym(R)
     return StageExpansion(
-        P=P, R=R, M=M, d=d, Fx=dyn.fx_batch(xs, us), Fu=Fu,
+        P=P, R=R, M=M, d=d, Fx=Fx, Fu=Fu,
         P_terminal=_sym(np.asarray(cost.terminal_xx(traj.states[n]), dtype=float)),
         alpha=float(alpha),
         R_reg=R + alpha * np.eye(d_u),

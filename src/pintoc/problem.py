@@ -60,7 +60,8 @@ class Trajectory:
 
 
 class DynamicsModel(abc.ABC):
-    """Discrete map ``x_{t+1} = f_t(x_t, u_t)`` with analytic derivatives.
+    """Discrete map ``x_{t+1} = f_t(x_t, u_t)`` with its first and second
+    derivatives.
 
     The derivatives are evaluated over all stages at once: each ``*_batch``
     method takes stacked states ``xs`` and controls ``us`` and returns one
@@ -68,7 +69,9 @@ class DynamicsModel(abc.ABC):
     output-component-first layout: ``fxx_batch(xs, us)[t, k]`` is the
     symmetric matrix of second derivatives of output component ``k`` at
     stage ``t``.  The map itself, ``f(t, x, u)``, is evaluated one stage at
-    a time by the sequential rollout.
+    a time by the sequential rollout.  Subclass
+    :class:`pintoc.systems.JetDynamics` to write only the map and get the
+    derivatives from it, or implement all six methods directly.
     """
 
     horizon: int

@@ -8,12 +8,15 @@ Conventions (documented because the cost targets depend on them):
   pole-down equilibrium; the swing-up goal is ``theta = pi`` and a target
   cart position.
 
-Angles are not wrapped; costs act on raw differences.  All derivatives are
-analytic and FD-verified by the test suite.
+Angles are not wrapped; costs act on raw differences.  Each system is
+written once, as the Euler step of a :class:`JetDynamics`: evaluated on
+floats it is the map, and on second-order jets it gives the exact Jacobians
+and Hessians, which the test suite checks against finite differences.
 """
 
 from __future__ import annotations
 
+import abc
 import math
 from dataclasses import dataclass
 
@@ -106,6 +109,140 @@ class QuadraticCost(CostModel):
 
 
 # ---------------------------------------------------------------------------
+# dynamics written once: second-order jets
+# ---------------------------------------------------------------------------
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :]
+
+
+class _Jet:
+    """Value, gradient and Hessian of one quantity over a batch of points.
+
+    ``val`` is ``(N,)``, ``grad`` ``(N, k)`` and ``hess`` ``(N, k, k)`` in
+    ``k`` seed variables.  ``+ - * /`` against jets or constants on either
+    side, :func:`_sin` and :func:`_cos` apply the chain rule to all three
+    parts, so an expression written for floats also yields its first and
+    second derivatives (second-order forward mode, or hyper-dual numbers:
+    Fike & Alonso, AIAA 2011; Griewank & Walther, *Evaluating Derivatives*,
+    2008).
+    """
+
+    __slots__ = ("val", "grad", "hess")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, val: np.ndarray, grad: np.ndarray, hess: np.ndarray):
+        self.val, self.grad, self.hess = val, grad, hess
+
+    def _chain(self, val, d1, d2) -> "_Jet":
+        """``g(self)`` from the value and first two derivatives of ``g``."""
+        return _Jet(val, d1[..., None] * self.grad,
+                    d1[..., None, None] * self.hess
+                    + d2[..., None, None] * _outer(self.grad, self.grad))
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+        return _Jet(self.val + other, self.grad, self.hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(-self.val, -self.grad, -self.hess)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Jet):
+            return _Jet(self.val * other, self.grad * other, self.hess * other)
+        cross = _outer(self.grad, other.grad)
+        return _Jet(self.val * other.val,
+                    self.grad * other.val[..., None] + other.grad * self.val[..., None],
+                    self.hess * other.val[..., None, None]
+                    + other.hess * self.val[..., None, None] + cross + np.swapaxes(cross, -1, -2))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, _Jet):
+            return _Jet(self.val / other, self.grad / other, self.hess / other)
+        # q = a / b: differentiate a = q b twice and solve for q's parts
+        q = self.val / other.val
+        grad = (self.grad - q[..., None] * other.grad) / other.val[..., None]
+        cross = _outer(grad, other.grad)
+        return _Jet(q, grad,
+                    (self.hess - q[..., None, None] * other.hess - cross
+                     - np.swapaxes(cross, -1, -2)) / other.val[..., None, None])
+
+    def __rtruediv__(self, other):
+        val = other / self.val
+        d1 = -val / self.val
+        return self._chain(val, d1, -2.0 * d1 / self.val)
+
+
+def _sin(a):
+    if isinstance(a, _Jet):
+        s, c = np.sin(a.val), np.cos(a.val)
+        return a._chain(s, c, -s)
+    return math.sin(a)
+
+
+def _cos(a):
+    if isinstance(a, _Jet):
+        s, c = np.sin(a.val), np.cos(a.val)
+        return a._chain(c, -s, -c)
+    return math.cos(a)
+
+
+class JetDynamics(DynamicsModel):
+    """A time-invariant dynamics model written once, as :meth:`step`.
+
+    On the floats of one point ``step`` is the map ``f``, so the rollout
+    builds no derivatives.  On :class:`_Jet` seeds over ``(x, u)`` at every
+    stage it yields all the ``*_batch`` Jacobians and Hessians at once.
+    """
+
+    @abc.abstractmethod
+    def step(self, x: list, u: list) -> list:
+        """The ``d_x`` entries of the next state from the entries of ``x``
+        and ``u``, using only ``+ - * /``, :func:`_sin` and :func:`_cos`."""
+
+    def f(self, t, x, u):
+        return np.array(self.step(np.asarray(x, dtype=float).tolist(),
+                                  np.asarray(u, dtype=float).reshape(-1).tolist()))
+
+    def _jets(self, xs, us) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients ``(N, d_x, k)`` and Hessians ``(N, d_x, k, k)`` of
+        ``step`` in ``z = (x, u)``, ``k = d_x + d_u``."""
+        zs = np.hstack([xs, us])
+        n, k = zs.shape
+        eye, zero = np.eye(k), np.zeros((n, k, k))
+        seeds = [_Jet(zs[:, i], np.broadcast_to(eye[i], (n, k)), zero) for i in range(k)]
+        out = self.step(seeds[:self.d_x], seeds[self.d_x:])
+        return (np.stack([y.grad for y in out], axis=1),
+                np.stack([y.hess for y in out], axis=1))
+
+    def fx_batch(self, xs, us):
+        return self._jets(xs, us)[0][..., :self.d_x]
+
+    def fu_batch(self, xs, us):
+        return self._jets(xs, us)[0][..., self.d_x:]
+
+    def fxx_batch(self, xs, us):
+        return self._jets(xs, us)[1][..., :self.d_x, :self.d_x]
+
+    def fuu_batch(self, xs, us):
+        return self._jets(xs, us)[1][..., self.d_x:, self.d_x:]
+
+    def fxu_batch(self, xs, us):
+        return self._jets(xs, us)[1][..., :self.d_x, self.d_x:]
+
+
+# ---------------------------------------------------------------------------
 # pendulum
 # ---------------------------------------------------------------------------
 
@@ -124,51 +261,19 @@ class PendulumParams:
                 raise ValueError(f"{name} must be positive")
 
 
-def pendulum_step(state: np.ndarray, control: np.ndarray,
-                  params: PendulumParams) -> np.ndarray:
+class PendulumDynamics(JetDynamics):
     """One Euler step of the damped torque-driven pendulum."""
-    theta, omega = state
-    tau = np.asarray(control, dtype=float).reshape(-1)[0]
-    p = params
-    acc = -(p.gravity / p.length) * math.sin(theta) \
-        + (tau - p.damping * omega) / (p.mass * p.length ** 2)
-    return np.array([theta + p.dt * omega, omega + p.dt * acc])
 
-
-class PendulumDynamics(DynamicsModel):
     def __init__(self, horizon: int, params: PendulumParams | None = None):
         super().__init__(horizon, d_x=2, d_u=1)
         self.params = params if params is not None else PendulumParams()
 
-    def f(self, t, x, u):
-        return pendulum_step(x, u, self.params)
-
-    def fx_batch(self, xs, us):
+    def step(self, x, u):
+        theta, omega = x
         p = self.params
-        n = len(us)
-        out = np.empty((n, 2, 2))
-        out[:, 0, 0] = 1.0
-        out[:, 0, 1] = p.dt
-        out[:, 1, 0] = -p.dt * (p.gravity / p.length) * np.cos(xs[:, 0])
-        out[:, 1, 1] = 1.0 - p.dt * p.damping / (p.mass * p.length ** 2)
-        return out
-
-    def fu_batch(self, xs, us):
-        p = self.params
-        fu = np.array([[0.0], [p.dt / (p.mass * p.length ** 2)]])
-        return np.broadcast_to(fu, (len(us), 2, 1))
-
-    def fxx_batch(self, xs, us):
-        p = self.params
-        out = np.zeros((len(us), 2, 2, 2))
-        out[:, 1, 0, 0] = p.dt * (p.gravity / p.length) * np.sin(xs[:, 0])
-        return out
-
-    def fuu_batch(self, xs, us):
-        return np.zeros((len(us), 2, 1, 1))
-
-    def fxu_batch(self, xs, us):
-        return np.zeros((len(us), 2, 2, 1))
+        acc = -(p.gravity / p.length) * _sin(theta) \
+            + (u[0] - p.damping * omega) / (p.mass * p.length ** 2)
+        return [theta + p.dt * omega, omega + p.dt * acc]
 
 
 def pendulum_energy(state: np.ndarray, params: PendulumParams) -> float:
@@ -198,143 +303,25 @@ class CartPoleParams:
                 raise ValueError(f"{name} must be positive")
 
 
-def _quotient_derivs(n, gn, hn, den, gden, hden):
-    """Value, gradient and Hessian of ``n / den`` from those of each factor.
-
-    Operates on batched inputs: values ``(...)``, gradients ``(..., 3)``,
-    Hessians ``(..., 3, 3)``.
-    """
-    d1 = den[..., None]
-    d2 = den[..., None, None]
-    q = n / den
-    gq = gn / d1 - n[..., None] * gden / d1 ** 2
-    outer_ng = gn[..., :, None] * gden[..., None, :]
-    outer_gg = gden[..., :, None] * gden[..., None, :]
-    hq = (
-        hn / d2
-        - (outer_ng + np.swapaxes(outer_ng, -1, -2)) / d2 ** 2
-        - n[..., None, None] * hden / d2 ** 2
-        + 2.0 * n[..., None, None] * outer_gg / d2 ** 3
-    )
-    return q, gq, hq
-
-
-def _cartpole_accel(theta, omega, force, p: CartPoleParams):
-    """Cart and pole accelerations with first/second derivatives.
-
-    Derivatives are with respect to the reduced variables (theta, omega,
-    force), the only ones the accelerations depend on.  Inputs may be
-    scalars or equally-shaped arrays; returns two triples
-    ``(value, gradient(..., 3), hessian(..., 3, 3))``.
-    """
-    theta = np.asarray(theta, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    force = np.asarray(force, dtype=float)
-    s, c = np.sin(theta), np.cos(theta)
-    mp, mc, length, grav = p.pole_mass, p.cart_mass, p.pole_length, p.gravity
-    shape = theta.shape
-    zero = np.zeros(shape)
-
-    den = mc + mp * s * s
-    gden = np.stack([2.0 * mp * s * c, zero, zero], axis=-1)
-    hden = np.zeros(shape + (3, 3))
-    hden[..., 0, 0] = 2.0 * mp * (c * c - s * s)
-
-    # cart: (F + mp sin(th) (l om + g cos(th))) / den
-    n1 = force + mp * s * (length * omega + grav * c)
-    gn1 = np.stack([
-        mp * c * length * omega + mp * grav * (c * c - s * s),
-        mp * length * s,
-        np.ones(shape),
-    ], axis=-1)
-    hn1 = np.zeros(shape + (3, 3))
-    hn1[..., 0, 0] = -mp * length * s * omega - 4.0 * mp * grav * s * c
-    hn1[..., 0, 1] = hn1[..., 1, 0] = mp * length * c
-    cart = _quotient_derivs(n1, gn1, hn1, den, gden, hden)
-
-    # pole: (-F cos(th) - mp l om^2 cos(th) sin(th) - (mc+mp) g sin(th)) / (l den)
-    n2 = -force * c - mp * length * omega ** 2 * c * s - (mc + mp) * grav * s
-    gn2 = np.stack([
-        force * s - mp * length * omega ** 2 * (c * c - s * s) - (mc + mp) * grav * c,
-        -2.0 * mp * length * omega * c * s,
-        -c,
-    ], axis=-1)
-    hn2 = np.zeros(shape + (3, 3))
-    hn2[..., 0, 0] = force * c + 4.0 * mp * length * omega ** 2 * s * c + (mc + mp) * grav * s
-    hn2[..., 0, 1] = hn2[..., 1, 0] = -2.0 * mp * length * omega * (c * c - s * s)
-    hn2[..., 1, 1] = -2.0 * mp * length * c * s
-    hn2[..., 0, 2] = hn2[..., 2, 0] = s
-    pole = _quotient_derivs(n2, gn2, hn2, length * den, length * gden, length * hden)
-    return cart, pole
-
-
-def cartpole_step(state: np.ndarray, control: np.ndarray,
-                  params: CartPoleParams) -> np.ndarray:
+class CartPoleDynamics(JetDynamics):
     """One Euler step of the force-driven cart-pole."""
-    pos, theta, vel, omega = state
-    force = np.asarray(control, dtype=float).reshape(-1)[0]
-    (cart_acc, _, _), (pole_acc, _, _) = _cartpole_accel(theta, omega, force, params)
-    dt = params.dt
-    return np.array([pos + dt * vel, theta + dt * omega,
-                     vel + dt * float(cart_acc), omega + dt * float(pole_acc)])
 
-
-class CartPoleDynamics(DynamicsModel):
     def __init__(self, horizon: int, params: CartPoleParams | None = None):
         super().__init__(horizon, d_x=4, d_u=1)
         self.params = params if params is not None else CartPoleParams()
 
-    def f(self, t, x, u):
-        return cartpole_step(x, u, self.params)
-
-    # reduced-variable order inside _cartpole_accel: (theta, omega, force);
-    # state order: (pos, theta, vel, omega)
-
-    def _batch_accel(self, xs, us):
-        return _cartpole_accel(xs[:, 1], xs[:, 3], us[:, 0], self.params)
-
-    def fx_batch(self, xs, us):
-        dt = self.params.dt
-        (_, gc, _), (_, gp, _) = self._batch_accel(xs, us)
-        n = len(us)
-        out = np.zeros((n, 4, 4))
-        out[:, 0, 0] = out[:, 1, 1] = out[:, 2, 2] = 1.0
-        out[:, 0, 2] = out[:, 1, 3] = dt
-        out[:, 2, 1] = dt * gc[:, 0]
-        out[:, 2, 3] = dt * gc[:, 1]
-        out[:, 3, 1] = dt * gp[:, 0]
-        out[:, 3, 3] = 1.0 + dt * gp[:, 1]
-        return out
-
-    def fu_batch(self, xs, us):
-        dt = self.params.dt
-        (_, gc, _), (_, gp, _) = self._batch_accel(xs, us)
-        out = np.zeros((len(us), 4, 1))
-        out[:, 2, 0] = dt * gc[:, 2]
-        out[:, 3, 0] = dt * gp[:, 2]
-        return out
-
-    def fxx_batch(self, xs, us):
-        dt = self.params.dt
-        (_, _, hc), (_, _, hp) = self._batch_accel(xs, us)
-        out = np.zeros((len(us), 4, 4, 4))
-        for row, h in ((2, hc), (3, hp)):
-            out[:, row, 1, 1] = dt * h[:, 0, 0]
-            out[:, row, 1, 3] = out[:, row, 3, 1] = dt * h[:, 0, 1]
-            out[:, row, 3, 3] = dt * h[:, 1, 1]
-        return out
-
-    def fuu_batch(self, xs, us):
-        return np.zeros((len(us), 4, 1, 1))
-
-    def fxu_batch(self, xs, us):
-        dt = self.params.dt
-        (_, _, hc), (_, _, hp) = self._batch_accel(xs, us)
-        out = np.zeros((len(us), 4, 4, 1))
-        for row, h in ((2, hc), (3, hp)):
-            out[:, row, 1, 0] = dt * h[:, 0, 2]
-            out[:, row, 3, 0] = dt * h[:, 1, 2]
-        return out
+    def step(self, x, u):
+        pos, theta, vel, omega = x
+        force = u[0]
+        p = self.params
+        mp, mc, length, grav = p.pole_mass, p.cart_mass, p.pole_length, p.gravity
+        s, c = _sin(theta), _cos(theta)
+        den = mc + mp * s * s
+        cart_acc = (force + mp * s * (length * omega + grav * c)) / den
+        pole_acc = (-force * c - mp * length * (omega * omega) * c * s
+                    - (mc + mp) * grav * s) / (length * den)
+        return [pos + p.dt * vel, theta + p.dt * omega,
+                vel + p.dt * cart_acc, omega + p.dt * pole_acc]
 
 
 # ---------------------------------------------------------------------------

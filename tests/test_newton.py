@@ -36,6 +36,25 @@ def test_regularization_update_formula():
     assert not accepted and np.isclose(alpha, 6.0) and nu == 4.0
 
 
+def test_rejected_steps_at_zero_alpha_raise_alpha():
+    # an unregularized swing-up from random controls has rejected steps; each
+    # must be retried with a larger weight, also the first one at alpha = 0
+    n = 40
+    for seed in (0, 2):
+        cfg = RunConfig(system="pendulum", seed=seed, horizons=(n,), dt=0.05)
+        prob = cfg.build_problem(n, cfg.step_size(n))
+        init = rollout(prob.dynamics, swingup_start("pendulum"),
+                       draw_initial_controls(prob, cfg, n, 0))
+        traj, report = newton_solve(prob.dynamics, prob.cost, None, init,
+                                    NewtonOptions(alpha0=0.0, max_iters=60))
+        history = report.history
+        assert any(not rec.accepted for rec in history)
+        assert all(nxt.alpha > rec.alpha
+                   for rec, nxt in zip(history, history[1:]) if not rec.accepted)
+        assert report.converged
+    assert regularization_update(0.0, 2.0, -math.inf) == (1e-6, 4.0, False)
+
+
 def test_gain_ratio_basic():
     assert gain_ratio(2.0, 2.0) == 1.0
     assert gain_ratio(-1.0, 2.0) == -0.5
@@ -46,8 +65,6 @@ def test_gain_ratio_basic():
 def test_newton_options_validation():
     with pytest.raises(ValueError):
         NewtonOptions(alpha0=-1.0)
-    with pytest.raises(ValueError):
-        NewtonOptions(nu0=1.0)
     with pytest.raises(ValueError):
         NewtonOptions(max_iters=0)
 
@@ -213,6 +230,6 @@ def test_first_order_optimality_on_barrier_subproblem(rng):
     traj, report = newton_solve(prob.dynamics, prob.cost, aug, init,
                                 NewtonOptions(max_iters=200))
     assert report.converged
-    lam = costate_pass(traj, prob.cost, aug, prob.dynamics)
-    exp = hamiltonian_expansion(traj, lam, prob.cost, aug, prob.dynamics)
+    lam, Fx = costate_pass(traj, prob.cost, aug, prob.dynamics)
+    exp = hamiltonian_expansion(traj, lam, Fx, prob.cost, aug, prob.dynamics)
     assert np.abs(exp.d).max() <= 1e-4

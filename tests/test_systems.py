@@ -6,36 +6,36 @@ import pytest
 from pintoc import (
     CartPoleDynamics,
     CartPoleParams,
+    JetDynamics,
     PendulumDynamics,
     PendulumParams,
     QuadraticCost,
     Trajectory,
     ZeroAugmentation,
-    cartpole_step,
     check_derivatives,
     make_swingup_problem,
     pendulum_energy,
-    pendulum_step,
     rollout,
     swingup_goal,
     swingup_start,
     total_cost,
 )
+from pintoc.systems import _cos, _sin
 
 
 def test_pendulum_equilibrium_fixed_point():
-    params = PendulumParams(dt=0.07)
+    dyn = PendulumDynamics(horizon=1, params=PendulumParams(dt=0.07))
     x = np.array([0.0, 0.0])
-    assert np.allclose(pendulum_step(x, np.zeros(1), params), x)
+    assert np.allclose(dyn.f(0, x, np.zeros(1)), x)
     # the inverted point is an equilibrium of the vector field too
     x = np.array([np.pi, 0.0])
-    nxt = pendulum_step(x, np.zeros(1), params)
+    nxt = dyn.f(0, x, np.zeros(1))
     assert np.allclose(nxt, x, atol=1e-12)
 
 
 def test_pendulum_gravity_only_step():
-    params = PendulumParams(dt=0.01)
-    nxt = pendulum_step(np.array([np.pi / 2, 0.0]), np.zeros(1), params)
+    dyn = PendulumDynamics(horizon=1, params=PendulumParams(dt=0.01))
+    nxt = dyn.f(0, np.array([np.pi / 2, 0.0]), np.zeros(1))
     assert np.isclose(nxt[1], -0.0981)  # omega' = -g*dt with l = m = 1
     assert np.isclose(nxt[0], np.pi / 2)
 
@@ -49,9 +49,9 @@ def test_pendulum_derivatives_at_random_points(rng):
 
 
 def test_cartpole_down_equilibrium():
-    params = CartPoleParams(dt=0.03)
+    dyn = CartPoleDynamics(horizon=1, params=CartPoleParams(dt=0.03))
     x = np.zeros(4)  # theta = 0 is pole-down in this convention
-    assert np.allclose(cartpole_step(x, np.zeros(1), params), x)
+    assert np.allclose(dyn.f(0, x, np.zeros(1)), x)
 
 
 def test_cartpole_quarter_turn_accelerations():
@@ -60,7 +60,7 @@ def test_cartpole_quarter_turn_accelerations():
     # -(mc+mp) g sin(th) / (l (mc + mp))
     params = CartPoleParams(dt=0.01)
     x = np.array([0.0, np.pi / 2, 0.0, 0.0])
-    nxt = cartpole_step(x, np.zeros(1), params)
+    nxt = CartPoleDynamics(horizon=1, params=params).f(0, x, np.zeros(1))
     assert np.isclose(nxt[2], 0.0)  # vel' = dt * 0
     expected_pole = -(params.cart_mass + params.pole_mass) * params.gravity / (
         params.pole_length * (params.cart_mass + params.pole_mass))
@@ -68,8 +68,8 @@ def test_cartpole_quarter_turn_accelerations():
     assert np.isclose(nxt[0], 0.0) and np.isclose(nxt[1], np.pi / 2)
 
 
-@pytest.mark.xfail(strict=True, reason="cart numerator of _cartpole_accel has l*omega "
-                   "where the textbook cart-pole has l*omega**2")
+@pytest.mark.xfail(strict=True, reason="cart numerator of CartPoleDynamics.step has "
+                   "l*omega where the textbook cart-pole has l*omega**2")
 def test_cartpole_centripetal_cart_acceleration():
     # at theta = pi/2, zero force, the cart is pushed only by the pole's
     # centripetal term: mp*l*omega^2 / (mc + mp) (Tedrake, Underactuated
@@ -77,7 +77,7 @@ def test_cartpole_centripetal_cart_acceleration():
     params = CartPoleParams(dt=0.01)
     omega = 2.0
     x = np.array([0.0, np.pi / 2, 0.0, omega])
-    nxt = cartpole_step(x, np.zeros(1), params)
+    nxt = CartPoleDynamics(horizon=1, params=params).f(0, x, np.zeros(1))
     expected = params.pole_mass * params.pole_length * omega ** 2 / (
         params.cart_mass + params.pole_mass)
     assert np.isclose((nxt[2] - x[2]) / params.dt, expected)
@@ -91,14 +91,37 @@ def test_cartpole_derivatives_at_random_points(rng):
     assert check_derivatives(dyn, (xs, us), tolerance=1e-5, step=1e-6).ok
 
 
+class EveryJetOperation(JetDynamics):
+    """A made-up map using each operation a jet supports."""
+
+    def __init__(self, horizon):
+        super().__init__(horizon, d_x=2, d_u=2)
+
+    def step(self, x, u):
+        a, b = x
+        c, d = u
+        den = 2.0 + _cos(a) * _cos(a)
+        return [
+            (1.5 + a) * (b - 0.5) - (0.3 - c) + 2.0 * _sin(b * d) / den,
+            -(a * b) / 4.0 + (d + 1.0) / (3.0 + b * b) + 0.7 / (2.0 - _sin(c)) - a * 3.0,
+        ]
+
+
+def test_jet_derivatives_of_every_operation(rng):
+    dyn = EveryJetOperation(horizon=30)
+    xs, us = rng.uniform(-2.0, 2.0, size=(30, 2)), rng.uniform(-2.0, 2.0, size=(30, 2))
+    assert check_derivatives(dyn, (xs, us)).ok
+
+
 def test_pendulum_euler_energy_drift():
     # undamped, unforced Euler integration drifts O(dt) per step: small at
     # dt = 1e-4 but strictly positive (it is not a higher-order integrator)
     params = PendulumParams(dt=1e-4, damping=1e-30)
+    dyn = PendulumDynamics(horizon=100, params=params)
     x = np.array([2.0, 0.0])
     e0 = pendulum_energy(x, params)
-    for _ in range(100):
-        x = pendulum_step(x, np.zeros(1), params)
+    for t in range(100):
+        x = dyn.f(t, x, np.zeros(1))
     drift = abs(pendulum_energy(x, params) - e0) / e0
     assert 0.0 < drift < 1e-3
 
