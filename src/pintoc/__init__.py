@@ -75,6 +75,8 @@ from .problem import (
     ControlProblem,
     CostModel,
     DynamicsModel,
+    Linearization,
+    PenaltyDerivatives,
     Trajectory,
     ZeroAugmentation,
     rollout,

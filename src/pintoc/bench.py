@@ -31,7 +31,14 @@ from .outer import (
     admm_solve,
     barrier_solve,
 )
-from .problem import BoxConstraint, ControlProblem, Trajectory, rollout, total_cost
+from .problem import (
+    BoxConstraint,
+    ControlProblem,
+    Trajectory,
+    first_dynamics_gap,
+    rollout,
+    total_cost,
+)
 from .systems import SYSTEMS, make_swingup_problem, swingup_start
 
 SOLVERS = ("barrier", "admm")
@@ -173,11 +180,8 @@ def validate_solution(problem: ControlProblem, traj: Trajectory,
     full-step norms are not scale-invariant once a small barrier weight puts
     the solution close to the constraint boundary.)
     """
-    for t in range(traj.horizon):
-        predicted = problem.dynamics.f(t, traj.states[t], traj.controls[t])
-        if np.max(np.abs(predicted - traj.states[t + 1])) > 1e-9 * (
-                1.0 + np.max(np.abs(predicted))):
-            return False
+    if first_dynamics_gap(problem.dynamics, traj, 1e-9) is not None:
+        return False
     con = problem.constraints
     if con is not None:
         violation = con.max_violation(traj)

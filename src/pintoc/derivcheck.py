@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DerivativeCheckError, DimensionError
-from .problem import AugmentedCost, ConstraintModel, CostModel, DynamicsModel
+from .problem import AugmentedCost, ConstraintModel, CostModel, DynamicsModel, stack_stages
 
 DEFAULT_STEP = 1e-6
 DEFAULT_TOL = 1e-5
@@ -64,13 +64,6 @@ def fd_hessian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return out
 
 
-def stack_stages(fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-                 xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Evaluate a per-stage ``fn(t, x, u)`` at every row, stacked by stage."""
-    return np.stack([np.asarray(fn(t, xs[t], us[t]), dtype=float)
-                     for t in range(len(us))])
-
-
 @dataclass(frozen=True)
 class DerivativeCheck:
     name: str
@@ -115,12 +108,13 @@ def check_derivatives(target, point, tolerance: float = DEFAULT_TOL,
 
     ``point`` is a pair ``(xs, us)`` of stacked states ``(n, d_x)`` and
     controls ``(n, d_u)``; row ``t`` is stage ``t``, so a time-varying
-    target needs one row per stage of its horizon.  The ``*_batch``
-    evaluators are checked at all rows in one call.  First derivatives are
-    compared against central differences of the underlying evaluator
-    (the per-stage map ``f`` for dynamics); second derivatives against
-    central differences of the analytic first derivatives, so one bad level
-    cannot mask another.  A cost's terminal derivatives are checked at the
+    target needs one row per stage of its horizon.  The evaluators the
+    solver runs are checked at all rows in one call: every field of a
+    dynamics model's ``linearize``, and the ``*_batch`` evaluators of the
+    other models.  First derivatives are compared against central
+    differences of the underlying evaluator (the per-stage map ``f`` for
+    dynamics); second derivatives against central differences of the
+    analytic first derivatives, so one bad level cannot mask another.  A cost's terminal derivatives are checked at the
     last row of ``xs``.  Each stage is judged on its own scale.
 
     Returns the full report, or raises :class:`DerivativeCheckError` naming
@@ -142,13 +136,15 @@ def check_derivatives(target, point, tolerance: float = DEFAULT_TOL,
     if isinstance(target, DynamicsModel):
         m = target
         f = partial(stack_stages, m.f)
+        lin = m.linearize(xs, us)
+        fx = lambda xx, uu: m.linearize(xx, uu).fx
+        fu = lambda xx, uu: m.linearize(xx, uu).fu
         checks += [
-            _compare("fx", m.fx_batch(xs, us), jac_x(f), tolerance),
-            _compare("fu", m.fu_batch(xs, us), jac_u(f), tolerance),
-            _compare("fxx", m.fxx_batch(xs, us), jac_x(m.fx_batch), tolerance),
-            _compare("fuu", m.fuu_batch(xs, us), jac_u(m.fu_batch), tolerance),
-            _compare("fxu", m.fxu_batch(xs, us),
-                     np.swapaxes(jac_x(m.fu_batch), -1, -2), tolerance),
+            _compare("fx", lin.fx, jac_x(f), tolerance),
+            _compare("fu", lin.fu, jac_u(f), tolerance),
+            _compare("fxx", lin.fxx, jac_x(fx), tolerance),
+            _compare("fuu", lin.fuu, jac_u(fu), tolerance),
+            _compare("fxu", lin.fxu, np.swapaxes(jac_x(fu), -1, -2), tolerance),
         ]
     elif isinstance(target, CostModel):
         m = target

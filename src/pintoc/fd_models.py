@@ -2,7 +2,7 @@
 
 These wrap plain per-stage callables so arbitrary user functions can be
 plugged into the solvers without deriving Jacobians and Hessians.  The
-batched derivatives difference the callable evaluated at every stage.  They
+derivatives difference the callable evaluated at every stage.  They
 trade accuracy and speed for convenience and are intended for prototyping
 and tests; a map written with ``+ - * /``, sine and cosine gets exact
 derivatives from :class:`pintoc.systems.JetDynamics` instead, as the shipped
@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .derivcheck import fd_hessian, fd_jacobian, stack_stages
-from .problem import CostModel, DynamicsModel
+from .derivcheck import fd_hessian, fd_jacobian
+from .problem import CostModel, DynamicsModel, Linearization, stack_stages
 
 
 class FiniteDiffDynamics(DynamicsModel):
@@ -33,25 +33,16 @@ class FiniteDiffDynamics(DynamicsModel):
     def f(self, t, x, u):
         return np.asarray(self._fn(t, x, u), dtype=float)
 
-    def _map(self, xs, us):
-        return stack_stages(self._fn, xs, us)
-
-    def fx_batch(self, xs, us):
-        return fd_jacobian(lambda xx: self._map(xx, us), xs, self._step)
-
-    def fu_batch(self, xs, us):
-        return fd_jacobian(lambda uu: self._map(xs, uu), us, self._step)
-
-    def fxx_batch(self, xs, us):
-        return fd_hessian(lambda xx: self._map(xx, us), xs, self._hess_step)
-
-    def fuu_batch(self, xs, us):
-        return fd_hessian(lambda uu: self._map(xs, uu), us, self._hess_step)
-
-    def fxu_batch(self, xs, us):
-        h = self._hess_step
-        jac_u = lambda xx: fd_jacobian(lambda uu: self._map(xx, uu), us, h)
-        return np.swapaxes(fd_jacobian(jac_u, xs, h), -1, -2)
+    def linearize(self, xs, us):
+        f, h = self.f_batch, self._hess_step
+        jac_u = lambda xx: fd_jacobian(lambda uu: f(xx, uu), us, h)
+        return Linearization(
+            fx=fd_jacobian(lambda xx: f(xx, us), xs, self._step),
+            fu=fd_jacobian(lambda uu: f(xs, uu), us, self._step),
+            fxx=fd_hessian(lambda xx: f(xx, us), xs, h),
+            fuu=fd_hessian(lambda uu: f(xs, uu), us, h),
+            fxu=np.swapaxes(fd_jacobian(jac_u, xs, h), -1, -2),
+        )
 
 
 class FiniteDiffCost(CostModel):

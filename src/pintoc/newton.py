@@ -40,6 +40,7 @@ from .problem import (
     DynamicsModel,
     Trajectory,
     ZeroAugmentation,
+    first_dynamics_gap,
     rollout,
     total_cost,
 )
@@ -181,14 +182,13 @@ def barrier_step_scale(aug: AugmentedCost, controls: np.ndarray, dus: np.ndarray
 
 
 def _check_consistent(dyn: DynamicsModel, traj: Trajectory) -> None:
-    for t in range(traj.horizon):
-        predicted = dyn.f(t, traj.states[t], traj.controls[t])
-        gap = np.max(np.abs(predicted - traj.states[t + 1]))
-        if gap > 1e-8 * (1.0 + np.max(np.abs(predicted))):
-            raise ValueError(
-                f"initial trajectory is not dynamically consistent at step {t} "
-                f"(gap {gap:.3e}); build it with rollout()"
-            )
+    bad = first_dynamics_gap(dyn, traj, 1e-8)
+    if bad is not None:
+        t, gap = bad
+        raise ValueError(
+            f"initial trajectory is not dynamically consistent at step {t} "
+            f"(gap {gap:.3e}); build it with rollout()"
+        )
 
 
 def newton_solve(dyn: DynamicsModel, cost: CostModel, aug: AugmentedCost | None,
@@ -227,8 +227,8 @@ def newton_solve(dyn: DynamicsModel, cost: CostModel, aug: AugmentedCost | None,
 
     while len(history) < opts.max_iters:
         if expansion is None:
-            costates, Fx = costate_pass(traj, cost, aug, dyn)
-            expansion = hamiltonian_expansion(traj, costates, Fx, cost, aug, dyn, alpha)
+            costates, lin, pen = costate_pass(traj, cost, aug, dyn)
+            expansion = hamiltonian_expansion(traj, costates, lin, pen, cost, alpha)
         elif expansion.alpha != alpha:
             expansion = expansion.with_alpha(alpha)
 

@@ -45,7 +45,7 @@ class BarrierAugmentation(AugmentedCost):
         self.mu = float(mu)
 
     def penalty(self, w, cols):
-        if w.size and w.max() >= 0:
+        if w.max() >= 0:
             stages, comps = np.nonzero(w >= 0)
             t, comp = int(stages[0]), int(comps[0])
             raise InfeasibleError(t, cols.start + comp, float(w[t, comp]))

@@ -24,7 +24,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import ConditioningError, DefinitenessError
-from .problem import AugmentedCost, CostModel, DynamicsModel, Trajectory
+from .problem import (
+    AugmentedCost,
+    CostModel,
+    DynamicsModel,
+    Linearization,
+    PenaltyDerivatives,
+    Trajectory,
+)
 from .scan import ScanDirection, scan
 
 
@@ -134,64 +141,65 @@ def costate_combine(left: CostateElement, right: CostateElement) -> CostateEleme
 
 
 def costate_pass(traj: Trajectory, cost: CostModel, aug: AugmentedCost,
-                 dyn: DynamicsModel) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint vectors lambda_{1:N+1} of the augmented Lagrangian, and the
-    dynamics Jacobians ``fx`` they were built from.
+                 dyn: DynamicsModel
+                 ) -> tuple[np.ndarray, Linearization, PenaltyDerivatives]:
+    """Adjoint vectors lambda_{1:N+1} of the augmented Lagrangian, with the
+    model derivatives at the nominal that they were built from.
 
     The adjoints satisfy the backward recursion
     ``lambda_t = lx_t + cx_t + fx_t^T lambda_{t+1}`` with the terminal
-    gradient as boundary, computed here as a suffix scan.  The Jacobians are
-    returned for :func:`hamiltonian_expansion`, which needs them at the same
+    gradient as boundary, computed here as a suffix scan.  The dynamics are
+    linearized (``dyn.linearize``) and the augmentation differentiated
+    (``aug.derivatives``) once, at every stage, and both are returned for
+    :func:`hamiltonian_expansion`, which needs the rest of them at the same
     nominal.
     """
     xs, us = traj.states[:-1], traj.controls
     lam_final = costate_boundary(cost, traj.states[-1])
+    lin = dyn.linearize(xs, us)
+    pen = aug.derivatives(xs, us)
     dls = cost.lx_batch(xs, us)
-    dfs = dyn.fx_batch(xs, us)
+    dfs = lin.fx
     # fold the boundary into the last element; its zero Jacobian absorbs
     # everything to its right during the scan
     elements = CostateElement(
         dl=np.vstack([dls[:-1], dls[-1] + dfs[-1].T @ lam_final]),
-        dc=aug.cx_batch(xs, us),
+        dc=pen.cx,
         df=np.concatenate([dfs[:-1], np.zeros((1, dyn.d_x, dyn.d_x))]),
     )
     suffix = scan(elements, costate_combine, ScanDirection.REVERSE)
-    return np.vstack([suffix.dl + suffix.dc, lam_final]), dfs
+    return np.vstack([suffix.dl + suffix.dc, lam_final]), lin, pen
 
 
 # ---------------------------------------------------------------------------
 # quadratic expansion
 # ---------------------------------------------------------------------------
 
-def hamiltonian_expansion(traj: Trajectory, costates: np.ndarray, Fx: np.ndarray,
-                          cost: CostModel, aug: AugmentedCost, dyn: DynamicsModel,
+def hamiltonian_expansion(traj: Trajectory, costates: np.ndarray, lin: Linearization,
+                          pen: PenaltyDerivatives, cost: CostModel,
                           alpha: float = 0.0) -> StageExpansion:
     """Second-order stage data (P, R, M, d) of the augmented Lagrangian.
 
-    ``costates`` and the dynamics Jacobians ``Fx`` are those returned by
-    :func:`costate_pass` at the same nominal.  Second derivatives of the
-    dynamics enter through contraction with the next adjoint vector, which
-    is what distinguishes the Newton expansion from a Gauss-Newton (iLQR)
-    one.
+    ``costates``, the dynamics linearization ``lin`` and the augmentation
+    derivatives ``pen`` are those returned by :func:`costate_pass` at the
+    same nominal, so the expansion evaluates only the cost model.  Second
+    derivatives of the dynamics enter through contraction with the next
+    adjoint vector, which is what distinguishes the Newton expansion from a
+    Gauss-Newton (iLQR) one.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     n, d_u = traj.horizon, traj.d_u
     xs, us = traj.states[:-1], traj.controls
     lam = np.asarray(costates[1:], dtype=float)  # (N, d_x)
-    P = cost.lxx_batch(xs, us) + aug.cxx_batch(xs, us) \
-        + np.einsum("tk,tkij->tij", lam, dyn.fxx_batch(xs, us))
-    R = cost.luu_batch(xs, us) + aug.cuu_batch(xs, us) \
-        + np.einsum("tk,tkij->tij", lam, dyn.fuu_batch(xs, us))
-    M = cost.lxu_batch(xs, us) + aug.cxu_batch(xs, us) \
-        + np.einsum("tk,tkij->tij", lam, dyn.fxu_batch(xs, us))
-    Fu = dyn.fu_batch(xs, us)
-    d = cost.lu_batch(xs, us) + aug.cu_batch(xs, us) \
-        + np.einsum("tkj,tk->tj", Fu, lam)
+    P = cost.lxx_batch(xs, us) + pen.cxx + np.einsum("tk,tkij->tij", lam, lin.fxx)
+    R = cost.luu_batch(xs, us) + pen.cuu + np.einsum("tk,tkij->tij", lam, lin.fuu)
+    M = cost.lxu_batch(xs, us) + np.einsum("tk,tkij->tij", lam, lin.fxu)
+    d = cost.lu_batch(xs, us) + pen.cu + np.einsum("tkj,tk->tj", lin.fu, lam)
     P = _sym(P)
     R = _sym(R)
     return StageExpansion(
-        P=P, R=R, M=M, d=d, Fx=Fx, Fu=Fu,
+        P=P, R=R, M=M, d=d, Fx=lin.fx, Fu=lin.fu,
         P_terminal=_sym(np.asarray(cost.terminal_xx(traj.states[n]), dtype=float)),
         alpha=float(alpha),
         R_reg=R + alpha * np.eye(d_u),

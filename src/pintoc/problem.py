@@ -3,17 +3,20 @@
 A discrete-time control problem is described by three model objects
 (dynamics, cost, constraints) plus an optional cost augmentation (log-barrier
 or consensus penalty) supplied by an outer solver.  Values and derivatives
-are evaluated over all stages at once by the ``*_batch`` evaluators, whose
-row ``t`` is stage ``t``, so time-varying problems are expressible; only the
-dynamics map ``f(t, x, u)`` (for the sequential rollout) and the terminal
-cost take a single point.  Every object is immutable after construction and
-safe to share across workers.
+are evaluated over all stages at once, row ``t`` being stage ``t``, so
+time-varying problems are expressible: the dynamics derivatives by one
+``linearize`` call, the augmentation's by one ``derivatives`` call, and the
+rest by the ``*_batch`` evaluators.  Only the dynamics map ``f(t, x, u)``
+(for the sequential rollout) and the terminal cost take a single point.
+Every object is immutable after construction and safe to share across
+workers.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,19 +62,37 @@ class Trajectory:
         return self.controls.shape[1]
 
 
+class Linearization(NamedTuple):
+    """First and second derivatives of the dynamics at every stage.
+
+    Row ``t`` of each field is stage ``t``.  Hessians use the
+    output-component-first layout: ``fxx[t, k]`` is the symmetric matrix of
+    second derivatives of output component ``k`` at stage ``t``.
+    """
+
+    fx: np.ndarray   # (N, d_x, d_x)
+    fu: np.ndarray   # (N, d_x, d_u)
+    fxx: np.ndarray  # (N, d_x, d_x, d_x)
+    fuu: np.ndarray  # (N, d_x, d_u, d_u)
+    fxu: np.ndarray  # (N, d_x, d_x, d_u)
+
+
 class DynamicsModel(abc.ABC):
     """Discrete map ``x_{t+1} = f_t(x_t, u_t)`` with its first and second
     derivatives.
 
-    The derivatives are evaluated over all stages at once: each ``*_batch``
-    method takes stacked states ``xs`` and controls ``us`` and returns one
-    row per stage, row ``t`` being stage ``t``.  Hessians use the
-    output-component-first layout: ``fxx_batch(xs, us)[t, k]`` is the
-    symmetric matrix of second derivatives of output component ``k`` at
-    stage ``t``.  The map itself, ``f(t, x, u)``, is evaluated one stage at
-    a time by the sequential rollout.  Subclass
-    :class:`pintoc.systems.JetDynamics` to write only the map and get the
-    derivatives from it, or implement all six methods directly.
+    A model implements two methods.  ``f(t, x, u)`` is the map at one stage,
+    which the sequential rollout evaluates.  ``linearize(xs, us)`` takes
+    stacked states and controls (row ``t`` is stage ``t``) and returns every
+    derivative a Newton iteration needs, as one :class:`Linearization`, so a
+    model that shares work between them (as the jets of
+    :class:`pintoc.systems.JetDynamics` do) evaluates once per iteration.
+
+    ``f_batch(xs, us)`` is the map at every stage at once, used to check
+    that a trajectory follows the dynamics; it stacks ``f`` stage by stage
+    unless a subclass vectorizes it.  ``fx_batch`` ... ``fxu_batch`` each
+    return one field of ``linearize``.  The solver never calls them; they
+    stay so that code resolving the derivatives by name keeps working.
     """
 
     horizon: int
@@ -86,27 +107,38 @@ class DynamicsModel(abc.ABC):
         self.d_u = d_u
 
     @abc.abstractmethod
-    def f(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray: ...
+    def f(self, t: int, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next state ``(d_x,)`` from the state and control of stage ``t``."""
 
     @abc.abstractmethod
-    def fx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """Jacobians in x, shape (N, d_x, d_x)."""
+    def linearize(self, xs: np.ndarray, us: np.ndarray) -> Linearization:
+        """Jacobians and Hessians of ``f`` at every row of ``(xs, us)``."""
 
-    @abc.abstractmethod
-    def fu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """Jacobians in u, shape (N, d_x, d_u)."""
+    def f_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """Next states ``(N, d_x)``, row ``t`` being ``f(t, xs[t], us[t])``."""
+        return stack_stages(self.f, xs, us)
 
-    @abc.abstractmethod
-    def fxx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """Hessians in x, shape (N, d_x, d_x, d_x)."""
+    def fx_batch(self, xs, us):
+        return self.linearize(xs, us).fx
 
-    @abc.abstractmethod
-    def fuu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """Hessians in u, shape (N, d_x, d_u, d_u)."""
+    def fu_batch(self, xs, us):
+        return self.linearize(xs, us).fu
 
-    @abc.abstractmethod
-    def fxu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """Cross second derivatives, shape (N, d_x, d_x, d_u)."""
+    def fxx_batch(self, xs, us):
+        return self.linearize(xs, us).fxx
+
+    def fuu_batch(self, xs, us):
+        return self.linearize(xs, us).fuu
+
+    def fxu_batch(self, xs, us):
+        return self.linearize(xs, us).fxu
+
+
+def stack_stages(fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+                 xs: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Evaluate a per-stage ``fn(t, x, u)`` at every row, stacked by stage."""
+    return np.stack([np.asarray(fn(t, xs[t], us[t]), dtype=float)
+                     for t in range(len(us))])
 
 
 class CostModel(abc.ABC):
@@ -265,6 +297,16 @@ class BoxConstraint(ConstraintModel):
         return np.zeros((len(us), self.n_control, self.d_u, self.d_u))
 
 
+class PenaltyDerivatives(NamedTuple):
+    """Stage derivatives of an :class:`AugmentedCost`, row ``t`` being stage
+    ``t``.  The cross derivative ``cxu`` is zero by construction."""
+
+    cx: np.ndarray   # (N, d_x)
+    cu: np.ndarray   # (N, d_u)
+    cxx: np.ndarray  # (N, d_x, d_x)
+    cuu: np.ndarray  # (N, d_u, d_u)
+
+
 class AugmentedCost(abc.ABC):
     """Extra stage cost ``c_t(x, u) = sum_i phi(w_i)`` added by an outer solver.
 
@@ -276,6 +318,11 @@ class AugmentedCost(abc.ABC):
         cx  = gx^T phi'(g)        cxx = gx^T diag(phi''(g)) gx + sum_i phi'(g_i) gxx_i
         cu  = hu^T phi'(h)        cuu = hu^T diag(phi''(h)) hu + sum_i phi'(h_i) huu_i
         cxu = 0
+
+    :meth:`derivatives` returns all of them from one evaluation of ``g``,
+    of ``h`` and of the penalty of each, and evaluates nothing for a part
+    without constraints (a control-only box has no ``g``).  The ``c*_batch``
+    evaluators return one derivative each, for the derivative checks.
 
     ``variant`` identifies the flavor: ``"zero"``, ``"barrier"`` (log-barrier
     with parameter mu, defined only on the strict interior) or ``"admm"``
@@ -290,72 +337,61 @@ class AugmentedCost(abc.ABC):
         """``phi``, ``phi'`` and ``phi''`` of each entry of ``w``, which holds
         the columns ``cols`` of the stacked ``[g; h]`` (one row per stage)."""
 
-    def _state_penalty(self, xs):
+    def _parts(self, xs, us):
+        """Input, columns of ``[g; h]`` and evaluators of the state part, then
+        of the control part, so an infeasible ``g`` is reported before ``h``."""
         con = self.constraints
-        return self.penalty(con.g_batch(xs), slice(0, con.n_state))
-
-    def _control_penalty(self, us):
-        con = self.constraints
-        return self.penalty(con.h_batch(us), slice(con.n_state, con.n_total))
+        return ((xs, slice(0, con.n_state), (con.g_batch, con.gx_batch, con.gxx_batch)),
+                (us, slice(con.n_state, con.n_total),
+                 (con.h_batch, con.hu_batch, con.huu_batch)))
 
     def c_batch(self, xs, us):
-        # the state part first, so an infeasible g is reported before h
-        return (np.sum(self._state_penalty(xs)[0], axis=1)
-                + np.sum(self._control_penalty(us)[0], axis=1))
+        total = np.zeros(len(us))
+        for z, cols, (value, _, _) in self._parts(xs, us):
+            if cols.stop > cols.start:
+                total += np.sum(self.penalty(value(z), cols)[0], axis=1)
+        return total
+
+    def derivatives(self, xs: np.ndarray, us: np.ndarray) -> PenaltyDerivatives:
+        terms = []
+        for z, cols, (value, jac, hess) in self._parts(xs, us):
+            n, d = z.shape
+            if cols.stop == cols.start:
+                terms.append((np.zeros((n, d)), np.zeros((n, d, d))))
+                continue
+            _, d1, d2 = self.penalty(value(z), cols)
+            J = jac(z)
+            terms.append((np.einsum("tmi,tm->ti", J, d1),
+                          np.einsum("tmi,tmj->tij", J * d2[:, :, None], J)
+                          + np.einsum("tm,tmij->tij", d1, hess(z))))
+        (cx, cxx), (cu, cuu) = terms
+        return PenaltyDerivatives(cx, cu, cxx, cuu)
 
     def cx_batch(self, xs, us):
-        _, d1, _ = self._state_penalty(xs)
-        return np.einsum("tmi,tm->ti", self.constraints.gx_batch(xs), d1)
+        return self.derivatives(xs, us).cx
 
     def cu_batch(self, xs, us):
-        _, d1, _ = self._control_penalty(us)
-        return np.einsum("tmi,tm->ti", self.constraints.hu_batch(us), d1)
+        return self.derivatives(xs, us).cu
 
     def cxx_batch(self, xs, us):
-        _, d1, d2 = self._state_penalty(xs)
-        con = self.constraints
-        return _chain_hessian(d1, d2, con.gx_batch(xs), con.gxx_batch(xs))
+        return self.derivatives(xs, us).cxx
 
     def cuu_batch(self, xs, us):
-        _, d1, d2 = self._control_penalty(us)
-        con = self.constraints
-        return _chain_hessian(d1, d2, con.hu_batch(us), con.huu_batch(us))
+        return self.derivatives(xs, us).cuu
 
     def cxu_batch(self, xs, us):
         # g depends on x only and h on u only, so the cross term vanishes
         return np.zeros((len(us), xs.shape[1], us.shape[1]))
 
 
-def _chain_hessian(d1, d2, jac, hess):
-    """``jac^T diag(d2) jac + sum_i d1_i hess_i`` at every stage."""
-    return (np.einsum("tmi,tmj->tij", jac * d2[:, :, None], jac)
-            + np.einsum("tm,tmij->tij", d1, hess))
-
-
 class ZeroAugmentation(AugmentedCost):
     """No augmentation; reduces the augmented objective to the plain cost."""
 
     variant = "zero"
+    constraints = BoxConstraint(0, 0)  # no bounds: every evaluator returns zeros
 
     def penalty(self, w, cols):
         return (np.zeros_like(w),) * 3
-
-    def c_batch(self, xs, us):
-        return np.zeros(len(us))
-
-    def cx_batch(self, xs, us):
-        return np.zeros(xs[:len(us)].shape)
-
-    def cu_batch(self, xs, us):
-        return np.zeros(us.shape)
-
-    def cxx_batch(self, xs, us):
-        n, d_x = len(us), xs.shape[1]
-        return np.zeros((n, d_x, d_x))
-
-    def cuu_batch(self, xs, us):
-        n, d_u = us.shape
-        return np.zeros((n, d_u, d_u))
 
 
 @dataclass(frozen=True)
@@ -396,6 +432,20 @@ def rollout(model: DynamicsModel, x1: np.ndarray, controls: np.ndarray) -> Traje
             raise DivergenceError(t + 1)
         states[t + 1] = nxt
     return Trajectory(states, controls)
+
+
+def first_dynamics_gap(model: DynamicsModel, traj: Trajectory,
+                       tol: float) -> tuple[int, float] | None:
+    """First stage at which ``traj`` departs from the dynamics, with its gap.
+
+    Stage ``t`` departs when ``max|f(x_t, u_t) - x_{t+1}|`` exceeds
+    ``tol * (1 + max|f(x_t, u_t)|)``.  All stages are evaluated in one
+    ``f_batch`` call; returns ``None`` when every stage is consistent.
+    """
+    predicted = model.f_batch(traj.states[:-1], traj.controls)
+    gaps = np.max(np.abs(predicted - traj.states[1:]), axis=1)
+    bad = np.flatnonzero(gaps > tol * (1.0 + np.max(np.abs(predicted), axis=1)))
+    return (int(bad[0]), float(gaps[bad[0]])) if bad.size else None
 
 
 def total_cost(cost: CostModel, aug: AugmentedCost, traj: Trajectory) -> float:

@@ -10,8 +10,9 @@ Conventions (documented because the cost targets depend on them):
 
 Angles are not wrapped; costs act on raw differences.  Each system is
 written once, as the Euler step of a :class:`JetDynamics`: evaluated on
-floats it is the map, and on second-order jets it gives the exact Jacobians
-and Hessians, which the test suite checks against finite differences.
+floats it is the map, on arrays of stage values the map at every stage, and
+on second-order jets it gives the exact Jacobians and Hessians, which the
+test suite checks against finite differences.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError
-from .problem import BoxConstraint, ControlProblem, CostModel, DynamicsModel
+from .problem import BoxConstraint, ControlProblem, CostModel, DynamicsModel, Linearization
 
 SYSTEMS = ("pendulum", "cartpole")
 
@@ -49,20 +50,15 @@ class LinearDynamics(DynamicsModel):
     def f(self, t, x, u):
         return self.A @ x + self.B @ u + self.offset
 
-    def fx_batch(self, xs, us):
-        return np.broadcast_to(self.A, (len(us),) + self.A.shape)
-
-    def fu_batch(self, xs, us):
-        return np.broadcast_to(self.B, (len(us),) + self.B.shape)
-
-    def fxx_batch(self, xs, us):
-        return np.zeros((len(us), self.d_x, self.d_x, self.d_x))
-
-    def fuu_batch(self, xs, us):
-        return np.zeros((len(us), self.d_x, self.d_u, self.d_u))
-
-    def fxu_batch(self, xs, us):
-        return np.zeros((len(us), self.d_x, self.d_x, self.d_u))
+    def linearize(self, xs, us):
+        n, d_x, d_u = len(us), self.d_x, self.d_u
+        return Linearization(
+            fx=np.broadcast_to(self.A, (n, d_x, d_x)),
+            fu=np.broadcast_to(self.B, (n, d_x, d_u)),
+            fxx=np.zeros((n, d_x, d_x, d_x)),
+            fuu=np.zeros((n, d_x, d_u, d_u)),
+            fxu=np.zeros((n, d_x, d_x, d_u)),
+        )
 
 
 class QuadraticCost(CostModel):
@@ -185,25 +181,31 @@ class _Jet:
 
 
 def _sin(a):
+    """Sine of a jet, an array of stage values, or a float (through ``math``)."""
     if isinstance(a, _Jet):
         s, c = np.sin(a.val), np.cos(a.val)
         return a._chain(s, c, -s)
-    return math.sin(a)
+    return np.sin(a) if isinstance(a, np.ndarray) else math.sin(a)
 
 
 def _cos(a):
+    """Cosine of a jet, an array of stage values, or a float (through ``math``)."""
     if isinstance(a, _Jet):
         s, c = np.sin(a.val), np.cos(a.val)
         return a._chain(c, -s, -c)
-    return math.cos(a)
+    return np.cos(a) if isinstance(a, np.ndarray) else math.cos(a)
 
 
 class JetDynamics(DynamicsModel):
     """A time-invariant dynamics model written once, as :meth:`step`.
 
-    On the floats of one point ``step`` is the map ``f``, so the rollout
-    builds no derivatives.  On :class:`_Jet` seeds over ``(x, u)`` at every
-    stage it yields all the ``*_batch`` Jacobians and Hessians at once.
+    ``step`` runs on three kinds of entries.  On the Python floats of one
+    point it is the map ``f``, so the rollout builds no derivatives.  On
+    arrays holding one entry of every stage it is ``f_batch``, the same
+    floating-point operations in the same order, so its rows equal ``f``
+    bit for bit.  On :class:`_Jet` seeds over ``(x, u)`` at every stage it
+    yields all the Jacobians and Hessians at once: :meth:`linearize` is one
+    such evaluation.
     """
 
     @abc.abstractmethod
@@ -214,6 +216,10 @@ class JetDynamics(DynamicsModel):
     def f(self, t, x, u):
         return np.array(self.step(np.asarray(x, dtype=float).tolist(),
                                   np.asarray(u, dtype=float).reshape(-1).tolist()))
+
+    def f_batch(self, xs, us):
+        xs, us = np.asarray(xs, dtype=float), np.asarray(us, dtype=float)
+        return np.stack(self.step(list(xs.T), list(us.T)), axis=1)
 
     def _jets(self, xs, us) -> tuple[np.ndarray, np.ndarray]:
         """Gradients ``(N, d_x, k)`` and Hessians ``(N, d_x, k, k)`` of
@@ -226,20 +232,11 @@ class JetDynamics(DynamicsModel):
         return (np.stack([y.grad for y in out], axis=1),
                 np.stack([y.hess for y in out], axis=1))
 
-    def fx_batch(self, xs, us):
-        return self._jets(xs, us)[0][..., :self.d_x]
-
-    def fu_batch(self, xs, us):
-        return self._jets(xs, us)[0][..., self.d_x:]
-
-    def fxx_batch(self, xs, us):
-        return self._jets(xs, us)[1][..., :self.d_x, :self.d_x]
-
-    def fuu_batch(self, xs, us):
-        return self._jets(xs, us)[1][..., self.d_x:, self.d_x:]
-
-    def fxu_batch(self, xs, us):
-        return self._jets(xs, us)[1][..., :self.d_x, self.d_x:]
+    def linearize(self, xs, us):
+        grad, hess = self._jets(xs, us)
+        x, u = slice(None, self.d_x), slice(self.d_x, None)
+        return Linearization(fx=grad[..., x], fu=grad[..., u], fxx=hess[..., x, x],
+                             fuu=hess[..., u, u], fxu=hess[..., x, u])
 
 
 # ---------------------------------------------------------------------------

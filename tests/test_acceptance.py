@@ -85,7 +85,7 @@ def test_criterion_1_executor_equivalence():
         # co-state pass plus full solves on a random LQ problem
         dyn, cost, x1, init = lq_bundle(rng, n, d_x, d_u)
         traj = rollout(dyn, x1, rng.normal(size=(n, d_u)))
-        lam, _ = costate_pass(traj, cost, ZeroAugmentation(), dyn)
+        lam, _, _ = costate_pass(traj, cost, ZeroAugmentation(), dyn)
         lam_o = sequential_costates(traj, cost, ZeroAugmentation(), dyn)
         worst_pass = max(worst_pass, _rel_gap(lam_o, lam))
         _, rep = newton_solve(dyn, cost, None, init, NewtonOptions())

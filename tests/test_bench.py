@@ -1,12 +1,15 @@
 """Harness: CSV round trips, determinism, plot-data export, CLI."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pintoc
 from pintoc.bench import (
     BENCH_HEADER,
     BenchmarkRecord,
@@ -159,7 +162,12 @@ def test_cli_missing_config_file():
 
 
 def test_cli_entrypoint_runs():
+    # the child does not inherit pytest's pythonpath setting, only the
+    # environment: put the package's source directory on its PYTHONPATH
+    src = str(Path(pintoc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-m", "pintoc.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "bench" in proc.stdout and "mpc" in proc.stdout

@@ -172,8 +172,35 @@ def test_inconsistent_initial_rejected(rng):
     bad = init.states.copy()
     bad[3] += 1.0
     from pintoc import Trajectory
-    with pytest.raises(ValueError, match="dynamically consistent"):
+    with pytest.raises(ValueError, match="dynamically consistent at step 2 "):
         newton_solve(dyn, cost, None, Trajectory(bad, init.controls))
+
+
+def test_one_jet_evaluation_per_expanded_nominal():
+    # linearize evaluates the jets of the step once per nominal the solver
+    # expands; a rejected step keeps the expansion and evaluates none
+    class Counting(pintoc.PendulumDynamics):
+        jets = 0
+
+        def _jets(self, xs, us):
+            self.jets += 1
+            return super()._jets(xs, us)
+
+    n = 20
+    cfg = RunConfig(system="pendulum", solver="barrier", seed=1, horizons=(n,),
+                    total_time=2.0)
+    prob = cfg.build_problem(n, cfg.step_size(n))
+    dyn = Counting(n, prob.dynamics.params)
+    init = rollout(dyn, swingup_start("pendulum"), draw_initial_controls(prob, cfg, n, 0))
+    _, report = pintoc.barrier_solve(pintoc.ControlProblem(dyn, prob.cost, prob.constraints),
+                                     init, cfg.barrier_options())
+    histories = [r.newton.history for r in report.rounds]
+    assert any(not rec.accepted and not math.isnan(rec.gain_ratio)
+               for history in histories for rec in history)
+    # each round expands its start and the nominal of every accepted step
+    # but one that ended the round
+    expanded = sum(1 + sum(rec.accepted for rec in history[:-1]) for history in histories)
+    assert dyn.jets == expanded
 
 
 def test_history_matches_iteration_count(rng):
@@ -230,6 +257,6 @@ def test_first_order_optimality_on_barrier_subproblem(rng):
     traj, report = newton_solve(prob.dynamics, prob.cost, aug, init,
                                 NewtonOptions(max_iters=200))
     assert report.converged
-    lam, Fx = costate_pass(traj, prob.cost, aug, prob.dynamics)
-    exp = hamiltonian_expansion(traj, lam, Fx, prob.cost, aug, prob.dynamics)
+    lam, lin, pen = costate_pass(traj, prob.cost, aug, prob.dynamics)
+    exp = hamiltonian_expansion(traj, lam, lin, pen, prob.cost)
     assert np.abs(exp.d).max() <= 1e-4

@@ -94,7 +94,7 @@ def test_costate_pass_zero_problem():
     dyn = PendulumDynamics(horizon=6)
     cost = QuadraticCost(np.zeros((2, 2)), np.zeros((1, 1)), np.zeros((2, 2)))
     traj = rollout(dyn, np.array([1.0, 0.0]), np.zeros((6, 1)))
-    lam, _ = costate_pass(traj, cost, ZeroAugmentation(), dyn)
+    lam, _, _ = costate_pass(traj, cost, ZeroAugmentation(), dyn)
     assert np.allclose(lam, 0.0)
 
 
@@ -102,7 +102,7 @@ def test_costate_pass_matches_sequential_recursion(rng):
     dyn, cost, x1 = random_lq_problem(rng, 16, 2, 1)
     traj = rollout(dyn, x1, rng.normal(size=(16, 1)))
     aug = ZeroAugmentation()
-    lam, _ = costate_pass(traj, cost, aug, dyn)
+    lam, _, _ = costate_pass(traj, cost, aug, dyn)
     oracle = sequential_costates(traj, cost, aug, dyn)
     scale = max(1.0, np.abs(oracle).max())
     assert np.abs(lam - oracle).max() / scale < 1e-10
@@ -113,11 +113,12 @@ def test_costate_pass_single_stage():
     dyn, cost, x1 = random_lq_problem(rng, 1, 2, 2)
     traj = rollout(dyn, x1, rng.normal(size=(1, 2)))
     aug = ZeroAugmentation()
-    lam, Fx = costate_pass(traj, cost, aug, dyn)
+    lam, lin, pen = costate_pass(traj, cost, aug, dyn)
     xs, us = traj.states[:-1], traj.controls
-    assert np.array_equal(Fx, dyn.fx_batch(xs, us))
-    expected = (cost.lx_batch(xs, us)[0] + aug.cx_batch(xs, us)[0]
-                + dyn.fx_batch(xs, us)[0].T @ lam[1])
+    # the pass hands on the model derivatives it used, for the expansion
+    assert all(np.array_equal(a, b) for a, b in zip(lin, dyn.linearize(xs, us)))
+    assert all(np.array_equal(a, b) for a, b in zip(pen, aug.derivatives(xs, us)))
+    expected = cost.lx_batch(xs, us)[0] + pen.cx[0] + lin.fx[0].T @ lam[1]
     assert np.allclose(lam[0], expected, atol=1e-12)
 
 
@@ -126,7 +127,7 @@ def test_costate_pass_nonlinear_with_barrier(rng):
     controls = 0.5 * rng.standard_normal((12, 1))
     traj = rollout(prob.dynamics, np.array([np.pi, 0.0]), controls)
     aug = BarrierAugmentation(prob.constraints, 0.1)
-    lam, _ = costate_pass(traj, prob.cost, aug, prob.dynamics)
+    lam, _, _ = costate_pass(traj, prob.cost, aug, prob.dynamics)
     oracle = sequential_costates(traj, prob.cost, aug, prob.dynamics)
     assert np.abs(lam - oracle).max() / max(1.0, np.abs(oracle).max()) < 1e-10
 
@@ -139,8 +140,8 @@ def test_expansion_linear_quadratic_has_exact_blocks(rng):
     dyn, cost, x1 = random_lq_problem(rng, 5, 2, 2)
     traj = rollout(dyn, x1, rng.normal(size=(5, 2)))
     aug = ZeroAugmentation()
-    lam, Fx = costate_pass(traj, cost, aug, dyn)
-    exp = hamiltonian_expansion(traj, lam, Fx, cost, aug, dyn, alpha=0.0)
+    lam, lin, pen = costate_pass(traj, cost, aug, dyn)
+    exp = hamiltonian_expansion(traj, lam, lin, pen, cost, alpha=0.0)
     for t in range(5):
         assert np.allclose(exp.P[t], cost.Q)
         assert np.allclose(exp.R[t], cost.R)
@@ -153,8 +154,8 @@ def test_expansion_gradient_matches_fd_hamiltonian(rng):
     controls = 0.4 * rng.standard_normal((8, 1))
     traj = rollout(prob.dynamics, np.array([np.pi, 0.0]), controls)
     aug = BarrierAugmentation(prob.constraints, 0.1)
-    lam, Fx = costate_pass(traj, prob.cost, aug, prob.dynamics)
-    exp = hamiltonian_expansion(traj, lam, Fx, prob.cost, aug, prob.dynamics)
+    lam, lin, pen = costate_pass(traj, prob.cost, aug, prob.dynamics)
+    exp = hamiltonian_expansion(traj, lam, lin, pen, prob.cost)
     for t in (0, 3, 7):
         x = traj.states[t]
 
@@ -171,8 +172,8 @@ def test_expansion_alpha_shifts_r():
     dyn, cost, x1 = random_lq_problem(rng, 3, 1, 1)
     cost.R[0, 0] = 1.0
     traj = rollout(dyn, x1, np.zeros((3, 1)))
-    lam, Fx = costate_pass(traj, cost, ZeroAugmentation(), dyn)
-    exp = hamiltonian_expansion(traj, lam, Fx, cost, ZeroAugmentation(), dyn, alpha=10.0)
+    lam, lin, pen = costate_pass(traj, cost, ZeroAugmentation(), dyn)
+    exp = hamiltonian_expansion(traj, lam, lin, pen, cost, alpha=10.0)
     assert np.allclose(exp.R_reg[0], 11.0)
     assert np.allclose(exp.with_alpha(0.0).R_reg[0], 1.0)
 

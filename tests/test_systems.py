@@ -113,6 +113,18 @@ def test_jet_derivatives_of_every_operation(rng):
     assert check_derivatives(dyn, (xs, us)).ok
 
 
+@pytest.mark.parametrize("dyn", [PendulumDynamics(horizon=40), CartPoleDynamics(horizon=40),
+                                 EveryJetOperation(horizon=40)],
+                         ids=lambda dyn: type(dyn).__name__)
+def test_f_batch_equals_stacked_f_bit_for_bit(dyn, rng):
+    xs = rng.uniform(-4.0, 4.0, size=(40, dyn.d_x))
+    us = rng.uniform(-60.0, 60.0, size=(40, dyn.d_u))
+    batch = dyn.f_batch(xs, us)
+    stacked = np.stack([dyn.f(t, xs[t], us[t]) for t in range(40)])
+    assert batch.shape == (40, dyn.d_x)
+    assert batch.tobytes() == stacked.tobytes()
+
+
 def test_pendulum_euler_energy_drift():
     # undamped, unforced Euler integration drifts O(dt) per step: small at
     # dt = 1e-4 but strictly positive (it is not a higher-order integrator)
