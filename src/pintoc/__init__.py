@@ -53,13 +53,10 @@ from .outer import (
     project_box,
 )
 from .passes import (
-    CostateElement,
     FeedbackLaw,
     RolloutElement,
     StageExpansion,
     ValueElement,
-    costate_boundary,
-    costate_combine,
     costate_pass,
     hamiltonian_expansion,
     propagation_pass,
@@ -76,7 +73,7 @@ from .problem import (
     CostModel,
     DynamicsModel,
     Linearization,
-    PenaltyDerivatives,
+    StageDerivatives,
     Trajectory,
     ZeroAugmentation,
     rollout,

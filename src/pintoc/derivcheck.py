@@ -110,12 +110,14 @@ def check_derivatives(target, point, tolerance: float = DEFAULT_TOL,
     controls ``(n, d_u)``; row ``t`` is stage ``t``, so a time-varying
     target needs one row per stage of its horizon.  The evaluators the
     solver runs are checked at all rows in one call: every field of a
-    dynamics model's ``linearize``, and the ``*_batch`` evaluators of the
-    other models.  First derivatives are compared against central
-    differences of the underlying evaluator (the per-stage map ``f`` for
-    dynamics); second derivatives against central differences of the
-    analytic first derivatives, so one bad level cannot mask another.  A cost's terminal derivatives are checked at the
-    last row of ``xs``.  Each stage is judged on its own scale.
+    dynamics model's ``linearize``, of a stage cost's or an augmentation's
+    ``derivatives``, and the ``*_batch`` evaluators of a constraint model.
+    First derivatives are compared against central differences of the
+    underlying evaluator (the per-stage map ``f`` for dynamics, ``l_batch``
+    or ``c_batch`` for stage costs); second derivatives against central
+    differences of the analytic first derivatives, so one bad level cannot
+    mask another.  A cost's terminal derivatives are checked at the last row
+    of ``xs``.  Each stage is judged on its own scale.
 
     Returns the full report, or raises :class:`DerivativeCheckError` naming
     the offending derivatives if any comparison exceeds ``tolerance``.
@@ -146,29 +148,28 @@ def check_derivatives(target, point, tolerance: float = DEFAULT_TOL,
             _compare("fuu", lin.fuu, jac_u(fu), tolerance),
             _compare("fxu", lin.fxu, np.swapaxes(jac_x(fu), -1, -2), tolerance),
         ]
-    elif isinstance(target, CostModel):
+    elif isinstance(target, (CostModel, AugmentedCost)):
         m = target
-        x_end = xs[-1]
+        # the stage cost l of a cost model, or the augmentation c
+        name, value = ("l", m.l_batch) if isinstance(m, CostModel) else ("c", m.c_batch)
+        der = m.derivatives(xs, us)
+        grad_x = lambda xx, uu: m.derivatives(xx, uu).x
+        grad_u = lambda xx, uu: m.derivatives(xx, uu).u
         checks += [
-            _compare("lx", m.lx_batch(xs, us), jac_x(m.l_batch), tolerance),
-            _compare("lu", m.lu_batch(xs, us), jac_u(m.l_batch), tolerance),
-            _compare("lxx", m.lxx_batch(xs, us), jac_x(m.lx_batch), tolerance),
-            _compare("luu", m.luu_batch(xs, us), jac_u(m.lu_batch), tolerance),
-            _compare("lxu", m.lxu_batch(xs, us), jac_u(m.lx_batch), tolerance),
-            _compare("terminal_x", [m.terminal_x(x_end)],
-                     [fd_jacobian(m.terminal, x_end, step)], tolerance),
-            _compare("terminal_xx", [m.terminal_xx(x_end)],
-                     [fd_jacobian(m.terminal_x, x_end, step)], tolerance),
+            _compare(name + "x", der.x, jac_x(value), tolerance),
+            _compare(name + "u", der.u, jac_u(value), tolerance),
+            _compare(name + "xx", der.xx, jac_x(grad_x), tolerance),
+            _compare(name + "uu", der.uu, jac_u(grad_u), tolerance),
+            _compare(name + "xu", der.xu, jac_u(grad_x), tolerance),
         ]
-    elif isinstance(target, AugmentedCost):
-        m = target
-        checks += [
-            _compare("cx", m.cx_batch(xs, us), jac_x(m.c_batch), tolerance),
-            _compare("cu", m.cu_batch(xs, us), jac_u(m.c_batch), tolerance),
-            _compare("cxx", m.cxx_batch(xs, us), jac_x(m.cx_batch), tolerance),
-            _compare("cuu", m.cuu_batch(xs, us), jac_u(m.cu_batch), tolerance),
-            _compare("cxu", m.cxu_batch(xs, us), jac_u(m.cx_batch), tolerance),
-        ]
+        if isinstance(m, CostModel):
+            x_end = xs[-1]
+            checks += [
+                _compare("terminal_x", [m.terminal_x(x_end)],
+                         [fd_jacobian(m.terminal, x_end, step)], tolerance),
+                _compare("terminal_xx", [m.terminal_xx(x_end)],
+                         [fd_jacobian(m.terminal_x, x_end, step)], tolerance),
+            ]
     elif isinstance(target, ConstraintModel):
         m = target
         if m.n_state:

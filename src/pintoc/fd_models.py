@@ -1,10 +1,12 @@
 """Finite-difference implementations of the model interfaces.
 
 These wrap plain per-stage callables so arbitrary user functions can be
-plugged into the solvers without deriving Jacobians and Hessians.  The
-derivatives difference the callable evaluated at every stage.  They
-trade accuracy and speed for convenience and are intended for prototyping
-and tests; a map written with ``+ - * /``, sine and cosine gets exact
+plugged into the solvers without deriving Jacobians and Hessians.  Each
+model implements the one derivative method of its interface
+(``linearize`` for the dynamics, ``derivatives`` for the stage cost) by
+differencing the callable evaluated at every stage.  They trade accuracy
+and speed for convenience and are intended for prototyping and tests; a
+map written with ``+ - * /``, sine and cosine gets exact
 derivatives from :class:`pintoc.systems.JetDynamics` instead, as the shipped
 benchmark systems do.
 """
@@ -16,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .derivcheck import fd_hessian, fd_jacobian
-from .problem import CostModel, DynamicsModel, Linearization, stack_stages
+from .problem import CostModel, DynamicsModel, Linearization, StageDerivatives, stack_stages
 
 
 class FiniteDiffDynamics(DynamicsModel):
@@ -59,22 +61,16 @@ class FiniteDiffCost(CostModel):
     def l_batch(self, xs, us):
         return stack_stages(self._stage, xs, us)
 
-    def lx_batch(self, xs, us):
-        return fd_jacobian(lambda xx: self.l_batch(xx, us), xs, self._step)
-
-    def lu_batch(self, xs, us):
-        return fd_jacobian(lambda uu: self.l_batch(xs, uu), us, self._step)
-
-    def lxx_batch(self, xs, us):
-        return fd_hessian(lambda xx: self.l_batch(xx, us), xs, self._hess_step)
-
-    def luu_batch(self, xs, us):
-        return fd_hessian(lambda uu: self.l_batch(xs, uu), us, self._hess_step)
-
-    def lxu_batch(self, xs, us):
-        h = self._hess_step
-        grad_x = lambda uu: fd_jacobian(lambda xx: self.l_batch(xx, uu), xs, h)
-        return fd_jacobian(grad_x, us, h)
+    def derivatives(self, xs, us):
+        val, h = self.l_batch, self._hess_step
+        grad_x = lambda uu: fd_jacobian(lambda xx: val(xx, uu), xs, h)
+        return StageDerivatives(
+            x=fd_jacobian(lambda xx: val(xx, us), xs, self._step),
+            u=fd_jacobian(lambda uu: val(xs, uu), us, self._step),
+            xx=fd_hessian(lambda xx: val(xx, us), xs, h),
+            uu=fd_hessian(lambda uu: val(xs, uu), us, h),
+            xu=fd_jacobian(grad_x, us, h),
+        )
 
     def terminal(self, x):
         return float(self._term(x))

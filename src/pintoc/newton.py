@@ -22,7 +22,7 @@ reject the step and grow the regularization weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,8 +227,8 @@ def newton_solve(dyn: DynamicsModel, cost: CostModel, aug: AugmentedCost | None,
 
     while len(history) < opts.max_iters:
         if expansion is None:
-            costates, lin, pen = costate_pass(traj, cost, aug, dyn)
-            expansion = hamiltonian_expansion(traj, costates, lin, pen, cost, alpha)
+            costates, lin, stage = costate_pass(traj, cost, aug, dyn)
+            expansion = hamiltonian_expansion(traj, costates, lin, stage, cost, alpha)
         elif expansion.alpha != alpha:
             expansion = expansion.with_alpha(alpha)
 

@@ -10,6 +10,9 @@ result off the combined stack by slicing.
   quadratic cost-to-go parameters and an affine control law,
 * propagation pass (prefix scan): closed-loop state deviations.
 
+The co-state and propagation passes share one element, the affine map
+``x -> F x + e``: the adjoint recursion is that map run backward in time.
+
 Element construction is independent across stages, and each combine is
 written once for a single element and for a batch of them alike.  The scan
 engine runs every level of its plan as one batched combine, so both backward
@@ -29,7 +32,7 @@ from .problem import (
     CostModel,
     DynamicsModel,
     Linearization,
-    PenaltyDerivatives,
+    StageDerivatives,
     Trajectory,
 )
 from .scan import ScanDirection, scan
@@ -37,14 +40,6 @@ from .scan import ScanDirection, scan
 
 # Element fields carry optional leading batch axes ("..."): one element, or a
 # stack of them with the stage as the leading axis.
-
-class CostateElement(NamedTuple):
-    """Composable piece of the adjoint recursion: (dl/dx, dc/dx, df/dx)."""
-
-    dl: np.ndarray  # (..., d_x)
-    dc: np.ndarray  # (..., d_x)
-    df: np.ndarray  # (..., d_x, d_x)
-
 
 class ValueElement(NamedTuple):
     """Dual parameterization (A, Y, C, eta, b) of a conditional value function."""
@@ -57,7 +52,8 @@ class ValueElement(NamedTuple):
 
 
 class RolloutElement(NamedTuple):
-    """Affine state-propagation map ``dx -> F dx + e``."""
+    """Affine map ``dx -> F dx + e``: a closed-loop state step, or an adjoint
+    step ``lambda -> fx^T lambda + (l + c)_x`` taken backward in time."""
 
     F: np.ndarray  # (..., d_x, d_x)
     e: np.ndarray  # (..., d_x)
@@ -122,53 +118,50 @@ def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# co-state pass
+# affine maps: the element of the co-state and propagation passes
 # ---------------------------------------------------------------------------
 
-def costate_boundary(cost: CostModel, x_final: np.ndarray) -> np.ndarray:
-    """Terminal adjoint: gradient of the terminal cost."""
-    return np.asarray(cost.terminal_x(x_final), dtype=float)
-
-
-def costate_combine(left: CostateElement, right: CostateElement) -> CostateElement:
-    """Compose two adjoint segments, ``left`` covering the earlier stages."""
-    dfT = _T(left.df)
-    return CostateElement(
-        dl=left.dl + _mv(dfT, right.dl),
-        dc=left.dc + _mv(dfT, right.dc),
-        df=right.df @ left.df,
+def rollout_combine(first: RolloutElement, second: RolloutElement) -> RolloutElement:
+    """Compose affine maps, applying ``first`` then ``second``."""
+    return RolloutElement(
+        F=second.F @ first.F,
+        e=_mv(second.F, first.e) + second.e,
     )
 
 
+# ---------------------------------------------------------------------------
+# co-state pass
+# ---------------------------------------------------------------------------
+
 def costate_pass(traj: Trajectory, cost: CostModel, aug: AugmentedCost,
                  dyn: DynamicsModel
-                 ) -> tuple[np.ndarray, Linearization, PenaltyDerivatives]:
+                 ) -> tuple[np.ndarray, Linearization, StageDerivatives]:
     """Adjoint vectors lambda_{1:N+1} of the augmented Lagrangian, with the
     model derivatives at the nominal that they were built from.
 
     The adjoints satisfy the backward recursion
     ``lambda_t = lx_t + cx_t + fx_t^T lambda_{t+1}`` with the terminal
-    gradient as boundary, computed here as a suffix scan.  The dynamics are
-    linearized (``dyn.linearize``) and the augmentation differentiated
-    (``aug.derivatives``) once, at every stage, and both are returned for
+    gradient as boundary.  Each step is the affine map of the propagation
+    pass, ``RolloutElement(fx_t^T, lx_t + cx_t)``, so the recursion is a
+    suffix scan of :func:`rollout_combine` with its operands swapped.  The
+    dynamics are linearized (``dyn.linearize``) and the stage cost and the
+    augmentation differentiated (``derivatives``) once, at every stage; the
+    linearization and the summed stage-cost derivatives are returned for
     :func:`hamiltonian_expansion`, which needs the rest of them at the same
     nominal.
     """
     xs, us = traj.states[:-1], traj.controls
-    lam_final = costate_boundary(cost, traj.states[-1])
+    lam_final = np.asarray(cost.terminal_x(traj.states[-1]), dtype=float)
     lin = dyn.linearize(xs, us)
-    pen = aug.derivatives(xs, us)
-    dls = cost.lx_batch(xs, us)
-    dfs = lin.fx
+    stage = StageDerivatives(*map(np.add, cost.derivatives(xs, us), aug.derivatives(xs, us)))
     # fold the boundary into the last element; its zero Jacobian absorbs
     # everything to its right during the scan
-    elements = CostateElement(
-        dl=np.vstack([dls[:-1], dls[-1] + dfs[-1].T @ lam_final]),
-        dc=pen.cx,
-        df=np.concatenate([dfs[:-1], np.zeros((1, dyn.d_x, dyn.d_x))]),
+    elements = RolloutElement(
+        F=np.concatenate([_T(lin.fx[:-1]), np.zeros((1, dyn.d_x, dyn.d_x))]),
+        e=np.vstack([stage.x[:-1], stage.x[-1] + lin.fx[-1].T @ lam_final]),
     )
-    suffix = scan(elements, costate_combine, ScanDirection.REVERSE)
-    return np.vstack([suffix.dl + suffix.dc, lam_final]), lin, pen
+    suffix = scan(elements, lambda a, b: rollout_combine(b, a), ScanDirection.REVERSE)
+    return np.vstack([suffix.e, lam_final]), lin, stage
 
 
 # ---------------------------------------------------------------------------
@@ -176,26 +169,26 @@ def costate_pass(traj: Trajectory, cost: CostModel, aug: AugmentedCost,
 # ---------------------------------------------------------------------------
 
 def hamiltonian_expansion(traj: Trajectory, costates: np.ndarray, lin: Linearization,
-                          pen: PenaltyDerivatives, cost: CostModel,
+                          stage: StageDerivatives, cost: CostModel,
                           alpha: float = 0.0) -> StageExpansion:
     """Second-order stage data (P, R, M, d) of the augmented Lagrangian.
 
-    ``costates``, the dynamics linearization ``lin`` and the augmentation
-    derivatives ``pen`` are those returned by :func:`costate_pass` at the
-    same nominal, so the expansion evaluates only the cost model.  Second
-    derivatives of the dynamics enter through contraction with the next
-    adjoint vector, which is what distinguishes the Newton expansion from a
-    Gauss-Newton (iLQR) one.
+    ``costates``, the dynamics linearization ``lin`` and the stage-cost
+    derivatives ``stage`` (cost plus augmentation) are those returned by
+    :func:`costate_pass` at the same nominal, so the expansion reads the
+    cost model only for its terminal Hessian.  Second derivatives of the
+    dynamics enter through contraction with the next adjoint vector, which
+    is what distinguishes the Newton expansion from a Gauss-Newton (iLQR)
+    one.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     n, d_u = traj.horizon, traj.d_u
-    xs, us = traj.states[:-1], traj.controls
     lam = np.asarray(costates[1:], dtype=float)  # (N, d_x)
-    P = cost.lxx_batch(xs, us) + pen.cxx + np.einsum("tk,tkij->tij", lam, lin.fxx)
-    R = cost.luu_batch(xs, us) + pen.cuu + np.einsum("tk,tkij->tij", lam, lin.fuu)
-    M = cost.lxu_batch(xs, us) + np.einsum("tk,tkij->tij", lam, lin.fxu)
-    d = cost.lu_batch(xs, us) + pen.cu + np.einsum("tkj,tk->tj", lin.fu, lam)
+    P = stage.xx + np.einsum("tk,tkij->tij", lam, lin.fxx)
+    R = stage.uu + np.einsum("tk,tkij->tij", lam, lin.fuu)
+    M = stage.xu + np.einsum("tk,tkij->tij", lam, lin.fxu)
+    d = stage.u + np.einsum("tkj,tk->tj", lin.fu, lam)
     P = _sym(P)
     R = _sym(R)
     return StageExpansion(
@@ -263,23 +256,22 @@ def value_combine(left: ValueElement, right: ValueElement) -> ValueElement:
     """
     d_x = left.A.shape[-1]
     gram = np.eye(d_x) + left.C @ right.Y
-    # since C and Y are symmetric, (I + Y_right C_left) is gram transposed;
-    # stack the right-hand sides so each orientation costs one solve
-    rhs = np.concatenate([left.A, left.C, (left.b + _mv(left.C, right.eta))[..., None]],
-                         axis=-1)
-    rhs_t = np.concatenate([right.Y @ left.A, (right.eta - _mv(right.Y, left.b))[..., None]],
-                           axis=-1)
+    # since C and Y are symmetric, (I + Y_right C_left) is gram transposed,
+    # and push-through, (I + Y C)^-1 = I - Y (I + C Y)^-1 C, lets the solve
+    # with gram serve that orientation too: one more right-hand side, C_left v
+    v = right.eta - _mv(right.Y, left.b)
+    rhs = np.concatenate([left.A, left.C, (left.b + _mv(left.C, right.eta))[..., None],
+                          _mv(left.C, v)[..., None]], axis=-1)
     try:
         sol = np.linalg.solve(gram, rhs)
-        sol_t = np.linalg.solve(_T(gram), rhs_t)
     except np.linalg.LinAlgError as err:
         raise ConditioningError("singular I + C*Y while combining value elements") from err
     left_AT = _T(left.A)
     return ValueElement(
         A=right.A @ sol[..., :d_x],
-        Y=_sym(left_AT @ sol_t[..., :d_x] + left.Y),
+        Y=_sym(left_AT @ (right.Y @ sol[..., :d_x]) + left.Y),
         C=_sym(right.A @ sol[..., d_x:2 * d_x] @ _T(right.A) + right.C),
-        eta=_mv(left_AT, sol_t[..., d_x]) + left.eta,
+        eta=_mv(left_AT, v - _mv(right.Y, sol[..., 2 * d_x + 1])) + left.eta,
         b=_mv(right.A, sol[..., 2 * d_x]) + right.b,
     )
 
@@ -312,14 +304,6 @@ def value_pass(exp: StageExpansion) -> tuple[np.ndarray, np.ndarray, FeedbackLaw
 # ---------------------------------------------------------------------------
 # propagation pass
 # ---------------------------------------------------------------------------
-
-def rollout_combine(first: RolloutElement, second: RolloutElement) -> RolloutElement:
-    """Compose affine maps, applying ``first`` then ``second``."""
-    return RolloutElement(
-        F=second.F @ first.F,
-        e=_mv(second.F, first.e) + second.e,
-    )
-
 
 def propagation_pass(law: FeedbackLaw, exp: StageExpansion
                      ) -> tuple[np.ndarray, np.ndarray]:

@@ -5,11 +5,10 @@ A discrete-time control problem is described by three model objects
 or consensus penalty) supplied by an outer solver.  Values and derivatives
 are evaluated over all stages at once, row ``t`` being stage ``t``, so
 time-varying problems are expressible: the dynamics derivatives by one
-``linearize`` call, the augmentation's by one ``derivatives`` call, and the
-rest by the ``*_batch`` evaluators.  Only the dynamics map ``f(t, x, u)``
-(for the sequential rollout) and the terminal cost take a single point.
-Every object is immutable after construction and safe to share across
-workers.
+``linearize`` call, and those of the stage cost and of the augmentation by
+one ``derivatives`` call each.  Only the dynamics map ``f(t, x, u)`` (for
+the sequential rollout) and the terminal cost take a single point.  Every
+object is immutable after construction.
 """
 
 from __future__ import annotations
@@ -141,10 +140,22 @@ def stack_stages(fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
                      for t in range(len(us))])
 
 
+class StageDerivatives(NamedTuple):
+    """First and second derivatives of a stage cost at every stage, row ``t``
+    being stage ``t``."""
+
+    x: np.ndarray   # (N, d_x)
+    u: np.ndarray   # (N, d_u)
+    xx: np.ndarray  # (N, d_x, d_x)
+    uu: np.ndarray  # (N, d_u, d_u)
+    xu: np.ndarray  # (N, d_x, d_u)
+
+
 class CostModel(abc.ABC):
     """Stage cost ``l_t(x, u)`` and terminal cost with analytic derivatives.
 
-    Stage values and derivatives are batched over stages like those of
+    Stage values (``l_batch``) and derivatives (``derivatives``, all of them
+    as one :class:`StageDerivatives`) are batched over stages like those of
     :class:`DynamicsModel`; the terminal cost is evaluated at one state.
     """
 
@@ -153,20 +164,8 @@ class CostModel(abc.ABC):
         """Stage costs, shape (N,)."""
 
     @abc.abstractmethod
-    def lx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def lu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def lxx_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def luu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def lxu_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-        """Cross second derivatives, shape (N, d_x, d_u)."""
+    def derivatives(self, xs: np.ndarray, us: np.ndarray) -> StageDerivatives:
+        """Gradients and Hessians of ``l_t`` at every row of ``(xs, us)``."""
 
     @abc.abstractmethod
     def terminal(self, x: np.ndarray) -> float: ...
@@ -297,16 +296,6 @@ class BoxConstraint(ConstraintModel):
         return np.zeros((len(us), self.n_control, self.d_u, self.d_u))
 
 
-class PenaltyDerivatives(NamedTuple):
-    """Stage derivatives of an :class:`AugmentedCost`, row ``t`` being stage
-    ``t``.  The cross derivative ``cxu`` is zero by construction."""
-
-    cx: np.ndarray   # (N, d_x)
-    cu: np.ndarray   # (N, d_u)
-    cxx: np.ndarray  # (N, d_x, d_x)
-    cuu: np.ndarray  # (N, d_u, d_u)
-
-
 class AugmentedCost(abc.ABC):
     """Extra stage cost ``c_t(x, u) = sum_i phi(w_i)`` added by an outer solver.
 
@@ -319,10 +308,10 @@ class AugmentedCost(abc.ABC):
         cu  = hu^T phi'(h)        cuu = hu^T diag(phi''(h)) hu + sum_i phi'(h_i) huu_i
         cxu = 0
 
-    :meth:`derivatives` returns all of them from one evaluation of ``g``,
-    of ``h`` and of the penalty of each, and evaluates nothing for a part
-    without constraints (a control-only box has no ``g``).  The ``c*_batch``
-    evaluators return one derivative each, for the derivative checks.
+    :meth:`derivatives` returns all of them as one :class:`StageDerivatives`,
+    the interface of :class:`CostModel`, from one evaluation of ``g``, of
+    ``h`` and of the penalty of each, and evaluates nothing for a part
+    without constraints (a control-only box has no ``g``).
 
     ``variant`` identifies the flavor: ``"zero"``, ``"barrier"`` (log-barrier
     with parameter mu, defined only on the strict interior) or ``"admm"``
@@ -352,7 +341,7 @@ class AugmentedCost(abc.ABC):
                 total += np.sum(self.penalty(value(z), cols)[0], axis=1)
         return total
 
-    def derivatives(self, xs: np.ndarray, us: np.ndarray) -> PenaltyDerivatives:
+    def derivatives(self, xs: np.ndarray, us: np.ndarray) -> StageDerivatives:
         terms = []
         for z, cols, (value, jac, hess) in self._parts(xs, us):
             n, d = z.shape
@@ -365,23 +354,9 @@ class AugmentedCost(abc.ABC):
                           np.einsum("tmi,tmj->tij", J * d2[:, :, None], J)
                           + np.einsum("tm,tmij->tij", d1, hess(z))))
         (cx, cxx), (cu, cuu) = terms
-        return PenaltyDerivatives(cx, cu, cxx, cuu)
-
-    def cx_batch(self, xs, us):
-        return self.derivatives(xs, us).cx
-
-    def cu_batch(self, xs, us):
-        return self.derivatives(xs, us).cu
-
-    def cxx_batch(self, xs, us):
-        return self.derivatives(xs, us).cxx
-
-    def cuu_batch(self, xs, us):
-        return self.derivatives(xs, us).cuu
-
-    def cxu_batch(self, xs, us):
         # g depends on x only and h on u only, so the cross term vanishes
-        return np.zeros((len(us), xs.shape[1], us.shape[1]))
+        cxu = np.broadcast_to(0.0, (len(us), xs.shape[1], us.shape[1]))
+        return StageDerivatives(cx, cu, cxx, cuu, cxu)
 
 
 class ZeroAugmentation(AugmentedCost):
@@ -427,11 +402,23 @@ def rollout(model: DynamicsModel, x1: np.ndarray, controls: np.ndarray) -> Traje
     states = np.empty((model.horizon + 1, model.d_x))
     states[0] = x1
     for t in range(model.horizon):
-        nxt = np.asarray(model.f(t, states[t], controls[t]), dtype=float)
-        if not np.all(np.isfinite(nxt)):
-            raise DivergenceError(t + 1)
-        states[t + 1] = nxt
+        try:
+            states[t + 1] = model.f(t, states[t], controls[t])
+        except (ValueError, ArithmeticError):
+            # f may reject a non-finite state (``math.sin(inf)`` raises); an
+            # error on finite inputs is the model's own
+            _check_finite(states[:t + 1])
+            raise
+    # one finiteness check for all stages costs less than one per stage
+    _check_finite(states)
     return Trajectory(states, controls)
+
+
+def _check_finite(states: np.ndarray) -> None:
+    """Raise :class:`DivergenceError` at the first non-finite row past row 0."""
+    finite = np.all(np.isfinite(states[1:]), axis=1)
+    if not np.all(finite):
+        raise DivergenceError(int(np.argmin(finite)) + 1)
 
 
 def first_dynamics_gap(model: DynamicsModel, traj: Trajectory,

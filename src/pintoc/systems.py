@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError
-from .problem import BoxConstraint, ControlProblem, CostModel, DynamicsModel, Linearization
+from .problem import (
+    BoxConstraint,
+    ControlProblem,
+    CostModel,
+    DynamicsModel,
+    Linearization,
+    StageDerivatives,
+)
 
 SYSTEMS = ("pendulum", "cartpole")
 
@@ -88,20 +95,15 @@ class QuadraticCost(CostModel):
         return 0.5 * (np.einsum("ti,ij,tj->t", dxs, self.Q, dxs)
                       + np.einsum("ti,ij,tj->t", us, self.R, us))
 
-    def lx_batch(self, xs, us):
-        return (xs - self.x_goal) @ self.Q.T
-
-    def lu_batch(self, xs, us):
-        return us @ self.R.T
-
-    def lxx_batch(self, xs, us):
-        return np.broadcast_to(self.Q, (len(us),) + self.Q.shape)
-
-    def luu_batch(self, xs, us):
-        return np.broadcast_to(self.R, (len(us),) + self.R.shape)
-
-    def lxu_batch(self, xs, us):
-        return np.zeros((len(us), self.Q.shape[0], self.R.shape[0]))
+    def derivatives(self, xs, us):
+        n = len(us)
+        return StageDerivatives(
+            x=(xs - self.x_goal) @ self.Q.T,
+            u=us @ self.R.T,
+            xx=np.broadcast_to(self.Q, (n,) + self.Q.shape),
+            uu=np.broadcast_to(self.R, (n,) + self.R.shape),
+            xu=np.broadcast_to(0.0, (n, self.Q.shape[0], self.R.shape[0])),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def sequential_costates(traj, cost, aug, dyn):
     """Direct backward recursion for the adjoint vectors."""
     n = traj.horizon
     xs, us = traj.states[:-1], traj.controls
-    lx, cx, fx = cost.lx_batch(xs, us), aug.cx_batch(xs, us), dyn.fx_batch(xs, us)
+    lx, cx, fx = cost.derivatives(xs, us).x, aug.derivatives(xs, us).x, dyn.fx_batch(xs, us)
     lam = np.zeros((n + 1, dyn.d_x))
     lam[n] = cost.terminal_x(traj.states[n])
     for t in range(n - 1, -1, -1):

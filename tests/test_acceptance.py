@@ -26,7 +26,6 @@ from pintoc import (
     BarrierOptions,
     BoxConstraint,
     ControlProblem,
-    CostateElement,
     LinearDynamics,
     NewtonOptions,
     QuadraticCost,
@@ -36,7 +35,6 @@ from pintoc import (
     admm_solve,
     barrier_solve,
     check_derivatives,
-    costate_combine,
     costate_pass,
     hamiltonian_expansion,
     make_swingup_problem,
@@ -249,11 +247,9 @@ def test_criterion_10_associativity_suite():
         return worst
 
     d_x, d_u = 2, 2
-    w1 = check(lambda: CostateElement(rng.normal(size=d_x), rng.normal(size=d_x),
-                                      rng.normal(size=(d_x, d_x))), costate_combine, 1e-9)
     w2 = check(lambda: ValueElement(rng.normal(size=(d_x, d_x)), rand_spd(rng, d_x),
                                     rand_spd(rng, d_x), rng.normal(size=d_x),
                                     rng.normal(size=d_x)), value_combine, 1e-9)
     w3 = check(lambda: RolloutElement(rng.normal(size=(d_x, d_x)),
                                       rng.normal(size=d_x)), rollout_combine, 1e-9)
-    _passed(10, f"100 trials each; worst deviations {w1:.1e}, {w2:.1e}, {w3:.1e}")
+    _passed(10, f"100 trials each; worst deviations {w2:.1e}, {w3:.1e}")

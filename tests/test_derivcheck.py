@@ -49,7 +49,7 @@ def test_pendulum_jacobian_close_to_fd():
 def test_barrier_symmetric_point_zero_gradient():
     box = BoxConstraint(1, 1, control_lower=-5.0, control_upper=5.0)
     aug = BarrierAugmentation(box, mu=0.1)
-    grad = aug.cu_batch(np.zeros((1, 1)), np.zeros((1, 1)))
+    grad = aug.derivatives(np.zeros((1, 1)), np.zeros((1, 1))).u
     assert np.allclose(grad, 0.0)
     report = check_derivatives(aug, (np.zeros((1, 1)), np.zeros((1, 1))))
     assert report.ok
@@ -135,9 +135,10 @@ def test_fd_fallback_models_agree_with_analytic(rng):
     cost = QuadraticCost(np.eye(2), np.eye(1), 2 * np.eye(2))
     fd_cost = FiniteDiffCost(lambda t, x, u: cost.l_batch(x[None], u[None])[0],
                              lambda x: cost.terminal(x))
-    assert np.allclose(fd_cost.lx_batch(xs, us), cost.lx_batch(xs, us), atol=1e-6)
-    assert np.allclose(fd_cost.lxx_batch(xs, us), cost.lxx_batch(xs, us), atol=1e-5)
-    assert np.allclose(fd_cost.lxu_batch(xs, us), cost.lxu_batch(xs, us), atol=1e-5)
+    fd_der, der = fd_cost.derivatives(xs, us), cost.derivatives(xs, us)
+    assert np.allclose(fd_der.x, der.x, atol=1e-6)
+    assert np.allclose(fd_der.xx, der.xx, atol=1e-5)
+    assert np.allclose(fd_der.xu, der.xu, atol=1e-5)
     assert np.allclose(fd_cost.terminal_xx(xs[0]), cost.terminal_xx(xs[0]), atol=1e-5)
 
 

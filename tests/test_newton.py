@@ -177,8 +177,9 @@ def test_inconsistent_initial_rejected(rng):
 
 
 def test_one_jet_evaluation_per_expanded_nominal():
-    # linearize evaluates the jets of the step once per nominal the solver
-    # expands; a rejected step keeps the expansion and evaluates none
+    # linearize evaluates the jets of the step, and the stage cost its
+    # derivatives, once per nominal the solver expands; a rejected step
+    # keeps the expansion and evaluates none
     class Counting(pintoc.PendulumDynamics):
         jets = 0
 
@@ -186,13 +187,21 @@ def test_one_jet_evaluation_per_expanded_nominal():
             self.jets += 1
             return super()._jets(xs, us)
 
+    class CountingCost(pintoc.QuadraticCost):
+        calls = 0
+
+        def derivatives(self, xs, us):
+            self.calls += 1
+            return super().derivatives(xs, us)
+
     n = 20
     cfg = RunConfig(system="pendulum", solver="barrier", seed=1, horizons=(n,),
                     total_time=2.0)
     prob = cfg.build_problem(n, cfg.step_size(n))
     dyn = Counting(n, prob.dynamics.params)
+    cost = CountingCost(prob.cost.Q, prob.cost.R, prob.cost.Qf, prob.cost.x_goal)
     init = rollout(dyn, swingup_start("pendulum"), draw_initial_controls(prob, cfg, n, 0))
-    _, report = pintoc.barrier_solve(pintoc.ControlProblem(dyn, prob.cost, prob.constraints),
+    _, report = pintoc.barrier_solve(pintoc.ControlProblem(dyn, cost, prob.constraints),
                                      init, cfg.barrier_options())
     histories = [r.newton.history for r in report.rounds]
     assert any(not rec.accepted and not math.isnan(rec.gain_ratio)
@@ -201,6 +210,7 @@ def test_one_jet_evaluation_per_expanded_nominal():
     # but one that ended the round
     expanded = sum(1 + sum(rec.accepted for rec in history[:-1]) for history in histories)
     assert dyn.jets == expanded
+    assert cost.calls == expanded
 
 
 def test_history_matches_iteration_count(rng):
@@ -257,6 +267,6 @@ def test_first_order_optimality_on_barrier_subproblem(rng):
     traj, report = newton_solve(prob.dynamics, prob.cost, aug, init,
                                 NewtonOptions(max_iters=200))
     assert report.converged
-    lam, lin, pen = costate_pass(traj, prob.cost, aug, prob.dynamics)
-    exp = hamiltonian_expansion(traj, lam, lin, pen, prob.cost)
+    lam, lin, stage = costate_pass(traj, prob.cost, aug, prob.dynamics)
+    exp = hamiltonian_expansion(traj, lam, lin, stage, prob.cost)
     assert np.abs(exp.d).max() <= 1e-4

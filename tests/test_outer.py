@@ -42,7 +42,7 @@ def test_barrier_box_value_and_symmetry():
     aug = BarrierAugmentation(box, mu=0.1)
     val = aug.c_batch(np.zeros((1, 1)), np.zeros((1, 1)))[0]
     assert np.isclose(val, -0.2 * np.log(5.0))
-    assert np.allclose(aug.cu_batch(np.zeros((1, 1)), np.zeros((1, 1))), 0.0)
+    assert np.allclose(aug.derivatives(np.zeros((1, 1)), np.zeros((1, 1))).u, 0.0)
 
 
 def test_barrier_one_sided_hand_derivative():
@@ -50,7 +50,7 @@ def test_barrier_one_sided_hand_derivative():
     aug = BarrierAugmentation(box, mu=1.0)
     xs, us = np.zeros((1, 1)), np.zeros((1, 1))
     assert np.isclose(aug.c_batch(xs, us)[0], 0.0)  # -log(1 - 0) = 0
-    assert np.allclose(aug.cu_batch(xs, us), 1.0)
+    assert np.allclose(aug.derivatives(xs, us).u, 1.0)
 
 
 def test_barrier_derivatives_match_fd(rng):
@@ -86,12 +86,12 @@ def test_barrier_reports_stacked_component_index(rng):
     for j, bound in enumerate((2.0, 3.0)):
         bad_u = us.copy()
         bad_u[7, j] = bound + 0.5
-        for evaluator in (aug.c_batch, aug.cu_batch, aug.cuu_batch):
+        for evaluator in (aug.c_batch, aug.derivatives):
             assert reported(evaluator, xs, bad_u) == (7, n_state + j)
     for i in range(2):
         bad_x = xs.copy()
         bad_x[4, i] = 2.0
-        for evaluator in (aug.c_batch, aug.cx_batch, aug.cxx_batch):
+        for evaluator in (aug.c_batch, aug.derivatives):
             assert reported(evaluator, bad_x, us) == (4, i)
     # both violated, the control one at an earlier stage: g is checked first
     bad_x, bad_u = xs.copy(), us.copy()
@@ -173,7 +173,7 @@ def test_admm_penalty_hand_derivative():
     aug = AdmmAugmentation(box, rho=2.0, z=np.zeros((1, 1)), v=np.zeros((1, 1)))
     xs, us = np.zeros((1, 1)), np.zeros((1, 1))
     assert np.isclose(aug.c_batch(xs, us)[0], 1.0)
-    assert np.allclose(aug.cu_batch(xs, us), -2.0)
+    assert np.allclose(aug.derivatives(xs, us).u, -2.0)
 
 
 def test_admm_penalty_derivatives_match_fd(rng):

@@ -14,7 +14,6 @@ from conftest import (
 from pintoc import (
     BarrierAugmentation,
     ConditioningError,
-    CostateElement,
     DefinitenessError,
     FeedbackLaw,
     PendulumDynamics,
@@ -24,8 +23,6 @@ from pintoc import (
     Trajectory,
     ValueElement,
     ZeroAugmentation,
-    costate_boundary,
-    costate_combine,
     costate_pass,
     hamiltonian_expansion,
     make_swingup_problem,
@@ -48,46 +45,33 @@ def element_close(a, b, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 def test_costate_boundary_zero_and_quadratic():
-    zero = QuadraticCost(np.zeros((2, 2)), np.zeros((1, 1)), np.zeros((2, 2)))
-    assert np.allclose(costate_boundary(zero, np.array([1.0, 2.0])), 0.0)
-    quad = QuadraticCost(np.zeros((2, 2)), np.zeros((1, 1)), np.eye(2))
-    assert np.allclose(costate_boundary(quad, np.array([1.0, 2.0])), [1.0, 2.0])
+    # the last co-state is the terminal gradient
+    dyn = PendulumDynamics(horizon=3)
+    traj = rollout(dyn, np.array([1.0, 2.0]), np.zeros((3, 1)))
+    for Qf in (np.zeros((2, 2)), np.eye(2)):
+        cost = QuadraticCost(np.eye(2), np.eye(1), Qf)
+        lam, _, _ = costate_pass(traj, cost, ZeroAugmentation(), dyn)
+        assert np.allclose(lam[-1], cost.terminal_x(traj.states[-1]))
+    assert np.allclose(lam[-1], traj.states[-1])
 
 
 def test_costate_boundary_matches_fd():
     prob = make_swingup_problem("pendulum", 4, 0.05)
-    x = np.array([0.3, -0.1])
-    fd = fd_jacobian(prob.cost.terminal, x)
-    assert np.allclose(costate_boundary(prob.cost, x), fd, atol=1e-6)
+    traj = rollout(prob.dynamics, np.array([0.3, -0.1]), np.full((4, 1), 0.2))
+    lam, _, _ = costate_pass(traj, prob.cost, ZeroAugmentation(), prob.dynamics)
+    fd = fd_jacobian(prob.cost.terminal, traj.states[-1])
+    assert np.allclose(lam[-1], fd, atol=1e-6)
 
 
 def test_costate_combine_neutral_right():
+    # the co-state pass scans rollout_combine with its operands swapped, so
+    # the identity on the later segment is applied first
     rng = np.random.default_rng(0)
-    left = CostateElement(rng.normal(size=2), rng.normal(size=2), rng.normal(size=(2, 2)))
-    right = CostateElement(np.zeros(2), np.zeros(2), np.eye(2))
-    out = costate_combine(left, right)
-    assert np.allclose(out.dl, left.dl)
-    assert np.allclose(out.dc, left.dc)
-    assert np.allclose(out.df, left.df)  # I . df composition
-
-
-def test_costate_combine_zero_jacobian_absorbs():
-    rng = np.random.default_rng(1)
-    left = CostateElement(rng.normal(size=2), rng.normal(size=2), np.zeros((2, 2)))
-    right = CostateElement(rng.normal(size=2), rng.normal(size=2), rng.normal(size=(2, 2)))
-    out = costate_combine(left, right)
-    assert np.allclose(out.dl, left.dl)
-    assert np.allclose(out.dc, left.dc)
-    assert np.allclose(out.df, 0.0)
-
-
-def test_costate_combine_associative(rng):
-    for _ in range(25):
-        els = [CostateElement(rng.normal(size=2), rng.normal(size=2),
-                              rng.normal(size=(2, 2))) for _ in range(3)]
-        left = costate_combine(costate_combine(els[0], els[1]), els[2])
-        right = costate_combine(els[0], costate_combine(els[1], els[2]))
-        assert element_close(left, right, tol=1e-12)
+    left = RolloutElement(rng.normal(size=(2, 2)), rng.normal(size=2))
+    right = RolloutElement(np.eye(2), np.zeros(2))
+    out = rollout_combine(right, left)
+    assert np.allclose(out.F, left.F)  # df . I composition
+    assert np.allclose(out.e, left.e)
 
 
 def test_costate_pass_zero_problem():
@@ -113,12 +97,14 @@ def test_costate_pass_single_stage():
     dyn, cost, x1 = random_lq_problem(rng, 1, 2, 2)
     traj = rollout(dyn, x1, rng.normal(size=(1, 2)))
     aug = ZeroAugmentation()
-    lam, lin, pen = costate_pass(traj, cost, aug, dyn)
+    lam, lin, stage = costate_pass(traj, cost, aug, dyn)
     xs, us = traj.states[:-1], traj.controls
-    # the pass hands on the model derivatives it used, for the expansion
+    # the pass hands on the model derivatives it used, for the expansion:
+    # the stage cost's and the augmentation's summed field by field
     assert all(np.array_equal(a, b) for a, b in zip(lin, dyn.linearize(xs, us)))
-    assert all(np.array_equal(a, b) for a, b in zip(pen, aug.derivatives(xs, us)))
-    expected = cost.lx_batch(xs, us)[0] + pen.cx[0] + lin.fx[0].T @ lam[1]
+    assert all(np.array_equal(a, b + c) for a, b, c in
+               zip(stage, cost.derivatives(xs, us), aug.derivatives(xs, us)))
+    expected = stage.x[0] + lin.fx[0].T @ lam[1]
     assert np.allclose(lam[0], expected, atol=1e-12)
 
 
@@ -140,8 +126,8 @@ def test_expansion_linear_quadratic_has_exact_blocks(rng):
     dyn, cost, x1 = random_lq_problem(rng, 5, 2, 2)
     traj = rollout(dyn, x1, rng.normal(size=(5, 2)))
     aug = ZeroAugmentation()
-    lam, lin, pen = costate_pass(traj, cost, aug, dyn)
-    exp = hamiltonian_expansion(traj, lam, lin, pen, cost, alpha=0.0)
+    lam, lin, stage = costate_pass(traj, cost, aug, dyn)
+    exp = hamiltonian_expansion(traj, lam, lin, stage, cost, alpha=0.0)
     for t in range(5):
         assert np.allclose(exp.P[t], cost.Q)
         assert np.allclose(exp.R[t], cost.R)
@@ -154,8 +140,8 @@ def test_expansion_gradient_matches_fd_hamiltonian(rng):
     controls = 0.4 * rng.standard_normal((8, 1))
     traj = rollout(prob.dynamics, np.array([np.pi, 0.0]), controls)
     aug = BarrierAugmentation(prob.constraints, 0.1)
-    lam, lin, pen = costate_pass(traj, prob.cost, aug, prob.dynamics)
-    exp = hamiltonian_expansion(traj, lam, lin, pen, prob.cost)
+    lam, lin, stage = costate_pass(traj, prob.cost, aug, prob.dynamics)
+    exp = hamiltonian_expansion(traj, lam, lin, stage, prob.cost)
     for t in (0, 3, 7):
         x = traj.states[t]
 
@@ -172,8 +158,8 @@ def test_expansion_alpha_shifts_r():
     dyn, cost, x1 = random_lq_problem(rng, 3, 1, 1)
     cost.R[0, 0] = 1.0
     traj = rollout(dyn, x1, np.zeros((3, 1)))
-    lam, lin, pen = costate_pass(traj, cost, ZeroAugmentation(), dyn)
-    exp = hamiltonian_expansion(traj, lam, lin, pen, cost, alpha=10.0)
+    lam, lin, stage = costate_pass(traj, cost, ZeroAugmentation(), dyn)
+    exp = hamiltonian_expansion(traj, lam, lin, stage, cost, alpha=10.0)
     assert np.allclose(exp.R_reg[0], 11.0)
     assert np.allclose(exp.with_alpha(0.0).R_reg[0], 1.0)
 
@@ -396,8 +382,21 @@ def test_rollout_combine_identity():
     rng = np.random.default_rng(0)
     first = RolloutElement(rng.normal(size=(2, 2)), rng.normal(size=2))
     ident = RolloutElement(np.eye(2), np.zeros(2))
-    out = rollout_combine(first, ident)
-    assert element_close(out, first)
+    assert element_close(rollout_combine(first, ident), first)
+
+
+def test_rollout_combine_zero_jacobian_absorbs():
+    # a map with zero Jacobian forgets its input.  Applied second it absorbs
+    # the map before it; applied first it makes the composite a constant,
+    # which is how both passes fold in their boundary (the first stage of
+    # the propagation pass, the last stage of the co-state pass)
+    rng = np.random.default_rng(1)
+    const = RolloutElement(np.zeros((2, 2)), rng.normal(size=2))
+    other = RolloutElement(rng.normal(size=(2, 2)), rng.normal(size=2))
+    assert element_close(rollout_combine(other, const), const)
+    out = rollout_combine(const, other)
+    assert np.allclose(out.F, 0.0)
+    assert np.allclose(out.e, other.F @ const.e + other.e)
 
 
 def test_rollout_combine_scalar_chain():

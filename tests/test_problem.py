@@ -86,6 +86,25 @@ def test_rollout_divergence_reports_index():
     assert exc.value.step == 4  # t=2 makes huge, t=3 overflows to inf
 
 
+def test_rollout_divergence_before_f_rejects_a_nonfinite_state():
+    # the torque drives omega to inf at state 2, theta to inf at state 3,
+    # and math.sin(inf) raises ValueError computing state 4
+    dyn = PendulumDynamics(6, PendulumParams(dt=1.0))
+    with pytest.raises(DivergenceError) as exc:
+        rollout(dyn, np.array([np.pi, 0.0]), np.full((6, 1), 1e308))
+    assert exc.value.step == 2
+
+    class Failing(LinearDynamics):
+        def f(self, t, x, u):
+            if t == 3:
+                raise ValueError("model error")
+            return x + 1.0
+
+    # an error on finite inputs is the model's own, and passes through
+    with pytest.raises(ValueError, match="model error"):
+        rollout(Failing(np.eye(1), np.zeros((1, 1)), horizon=6), np.ones(1), np.zeros((6, 1)))
+
+
 def test_rollout_shape_checks():
     dyn = LinearDynamics(np.eye(2), np.zeros((2, 1)), horizon=4)
     with pytest.raises(DimensionError):
