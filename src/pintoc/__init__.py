@@ -72,7 +72,6 @@ from .problem import (
     ControlProblem,
     CostModel,
     DynamicsModel,
-    Linearization,
     StageDerivatives,
     Trajectory,
     ZeroAugmentation,

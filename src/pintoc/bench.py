@@ -61,17 +61,17 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     # barrier options
-    mu0: float = 0.1
-    zeta: float = 0.2
-    mu_tol: float = 1e-4
+    mu0: float = BarrierOptions.mu0
+    zeta: float = BarrierOptions.zeta
+    mu_tol: float = BarrierOptions.mu_tol
     # admm options
     rho: float | None = None       # None picks the per-system default
-    residual_tol: float = 1e-2
-    max_outer: int = 200
+    residual_tol: float = AdmmOptions.residual_tol
+    max_outer: int = AdmmOptions.max_outer
     # newton options
-    alpha0: float = 1.0
-    inner_tol: float = 1e-8
-    max_inner: int = 200
+    alpha0: float = NewtonOptions.alpha0
+    inner_tol: float = NewtonOptions.inner_tol
+    max_inner: int = 200           # the harness budget, twice NewtonOptions.max_iters
     # initial control draw
     control_scale: float = 1.0     # std dev of the normal draw
     # cost weights (None keeps the per-system defaults)

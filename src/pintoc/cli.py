@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -52,10 +53,19 @@ def _parse_scalar(text: str):
     return text.strip("'\"")
 
 
+def _is_tuple(hint) -> bool:
+    """Whether a field annotation is ``tuple[...]`` or ``tuple[...] | None``."""
+    return tuple in (typing.get_origin(hint), *map(typing.get_origin, typing.get_args(hint)))
+
+
+_TUPLE_FIELDS = {name for name, hint in typing.get_type_hints(RunConfig).items()
+                 if _is_tuple(hint)}
+
+
 def _parse_value(key: str, text: str):
-    if key in ("horizons", "mpc_start"):
-        parts = [p for p in text.replace(",", " ").split() if p]
-        return tuple(_parse_scalar(p) for p in parts)
+    # a tuple field reads a comma or space separated list; ``none`` stays None
+    if key in _TUPLE_FIELDS and _parse_scalar(text) is not None:
+        return tuple(_parse_scalar(p) for p in text.replace(",", " ").split())
     return _parse_scalar(text)
 
 

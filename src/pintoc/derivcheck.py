@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import DerivativeCheckError, DimensionError
-from .problem import AugmentedCost, ConstraintModel, CostModel, DynamicsModel, stack_stages
+from .problem import AugmentedCost, ConstraintModel, CostModel, DynamicsModel
 
 DEFAULT_STEP = 1e-6
 DEFAULT_TOL = 1e-5
@@ -109,15 +108,14 @@ def check_derivatives(target, point, tolerance: float = DEFAULT_TOL,
     ``point`` is a pair ``(xs, us)`` of stacked states ``(n, d_x)`` and
     controls ``(n, d_u)``; row ``t`` is stage ``t``, so a time-varying
     target needs one row per stage of its horizon.  The evaluators the
-    solver runs are checked at all rows in one call: every field of a
-    dynamics model's ``linearize``, of a stage cost's or an augmentation's
-    ``derivatives``, and the ``*_batch`` evaluators of a constraint model.
-    First derivatives are compared against central differences of the
-    underlying evaluator (the per-stage map ``f`` for dynamics, ``l_batch``
-    or ``c_batch`` for stage costs); second derivatives against central
-    differences of the analytic first derivatives, so one bad level cannot
-    mask another.  A cost's terminal derivatives are checked at the last row
-    of ``xs``.  Each stage is judged on its own scale.
+    solver runs are checked at all rows in one call: every field of the
+    ``derivatives`` of a dynamics model, a stage cost or an augmentation,
+    and the ``*_batch`` evaluators of a constraint model.  First derivatives
+    are compared against central differences of the underlying evaluator
+    (``f_batch``, ``l_batch`` or ``c_batch``); second derivatives against
+    central differences of the analytic first derivatives, so one bad level
+    cannot mask another.  A cost's terminal derivatives are checked at the
+    last row of ``xs``.  Each stage is judged on its own scale.
 
     Returns the full report, or raises :class:`DerivativeCheckError` naming
     the offending derivatives if any comparison exceeds ``tolerance``.
@@ -135,23 +133,11 @@ def check_derivatives(target, point, tolerance: float = DEFAULT_TOL,
     def jac_u(fn):
         return fd_jacobian(lambda uu: fn(xs, uu), us, step)
 
-    if isinstance(target, DynamicsModel):
+    if isinstance(target, (DynamicsModel, CostModel, AugmentedCost)):
         m = target
-        f = partial(stack_stages, m.f)
-        lin = m.linearize(xs, us)
-        fx = lambda xx, uu: m.linearize(xx, uu).fx
-        fu = lambda xx, uu: m.linearize(xx, uu).fu
-        checks += [
-            _compare("fx", lin.fx, jac_x(f), tolerance),
-            _compare("fu", lin.fu, jac_u(f), tolerance),
-            _compare("fxx", lin.fxx, jac_x(fx), tolerance),
-            _compare("fuu", lin.fuu, jac_u(fu), tolerance),
-            _compare("fxu", lin.fxu, np.swapaxes(jac_x(fu), -1, -2), tolerance),
-        ]
-    elif isinstance(target, (CostModel, AugmentedCost)):
-        m = target
-        # the stage cost l of a cost model, or the augmentation c
-        name, value = ("l", m.l_batch) if isinstance(m, CostModel) else ("c", m.c_batch)
+        # the dynamics f, the stage cost l of a cost model, or the augmentation c
+        name, value = (("f", m.f_batch) if isinstance(m, DynamicsModel) else
+                       ("l", m.l_batch) if isinstance(m, CostModel) else ("c", m.c_batch))
         der = m.derivatives(xs, us)
         grad_x = lambda xx, uu: m.derivatives(xx, uu).x
         grad_u = lambda xx, uu: m.derivatives(xx, uu).u

@@ -2,13 +2,13 @@
 
 These wrap plain per-stage callables so arbitrary user functions can be
 plugged into the solvers without deriving Jacobians and Hessians.  Each
-model implements the one derivative method of its interface
-(``linearize`` for the dynamics, ``derivatives`` for the stage cost) by
-differencing the callable evaluated at every stage.  They trade accuracy
-and speed for convenience and are intended for prototyping and tests; a
-map written with ``+ - * /``, sine and cosine gets exact
-derivatives from :class:`pintoc.systems.JetDynamics` instead, as the shipped
-benchmark systems do.
+model implements the one derivative method of every stage function,
+``derivatives``, by one shared central-difference rule applied to the
+callable evaluated at every stage.  They trade accuracy and speed for
+convenience and are intended for prototyping and tests; a map written with
+``+ - * /``, sine and cosine gets exact derivatives from
+:class:`pintoc.systems.JetDynamics` instead, as the shipped benchmark
+systems do.
 """
 
 from __future__ import annotations
@@ -18,7 +18,25 @@ from typing import Callable
 import numpy as np
 
 from .derivcheck import fd_hessian, fd_jacobian
-from .problem import CostModel, DynamicsModel, Linearization, StageDerivatives, stack_stages
+from .problem import CostModel, DynamicsModel, StageDerivatives, stack_stages
+
+
+def _central_differences(value: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                        xs: np.ndarray, us: np.ndarray,
+                        step: float, hess_step: float) -> StageDerivatives:
+    """Every field of :class:`StageDerivatives` of the batched ``value(xs, us)``
+    (a stage cost, or the dynamics with the output component second), by
+    central differences: ``step`` for gradients, ``hess_step`` for Hessians."""
+    in_x = lambda xx: value(xx, us)
+    in_u = lambda uu: value(xs, uu)
+    grad_x = lambda uu: fd_jacobian(lambda xx: value(xx, uu), xs, hess_step)
+    return StageDerivatives(
+        x=fd_jacobian(in_x, xs, step),
+        u=fd_jacobian(in_u, us, step),
+        xx=fd_hessian(in_x, xs, hess_step),
+        uu=fd_hessian(in_u, us, hess_step),
+        xu=fd_jacobian(grad_x, us, hess_step),
+    )
 
 
 class FiniteDiffDynamics(DynamicsModel):
@@ -35,16 +53,8 @@ class FiniteDiffDynamics(DynamicsModel):
     def f(self, t, x, u):
         return np.asarray(self._fn(t, x, u), dtype=float)
 
-    def linearize(self, xs, us):
-        f, h = self.f_batch, self._hess_step
-        jac_u = lambda xx: fd_jacobian(lambda uu: f(xx, uu), us, h)
-        return Linearization(
-            fx=fd_jacobian(lambda xx: f(xx, us), xs, self._step),
-            fu=fd_jacobian(lambda uu: f(xs, uu), us, self._step),
-            fxx=fd_hessian(lambda xx: f(xx, us), xs, h),
-            fuu=fd_hessian(lambda uu: f(xs, uu), us, h),
-            fxu=np.swapaxes(fd_jacobian(jac_u, xs, h), -1, -2),
-        )
+    def derivatives(self, xs, us):
+        return _central_differences(self.f_batch, xs, us, self._step, self._hess_step)
 
 
 class FiniteDiffCost(CostModel):
@@ -62,15 +72,7 @@ class FiniteDiffCost(CostModel):
         return stack_stages(self._stage, xs, us)
 
     def derivatives(self, xs, us):
-        val, h = self.l_batch, self._hess_step
-        grad_x = lambda uu: fd_jacobian(lambda xx: val(xx, uu), xs, h)
-        return StageDerivatives(
-            x=fd_jacobian(lambda xx: val(xx, us), xs, self._step),
-            u=fd_jacobian(lambda uu: val(xs, uu), us, self._step),
-            xx=fd_hessian(lambda xx: val(xx, us), xs, h),
-            uu=fd_hessian(lambda uu: val(xs, uu), us, h),
-            xu=fd_jacobian(grad_x, us, h),
-        )
+        return _central_differences(self.l_batch, xs, us, self._step, self._hess_step)
 
     def terminal(self, x):
         return float(self._term(x))

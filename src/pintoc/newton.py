@@ -197,10 +197,12 @@ def newton_solve(dyn: DynamicsModel, cost: CostModel, aug: AugmentedCost | None,
     """Minimize the augmented objective over controls from ``initial``.
 
     Accepted iterates have non-increasing augmented cost.  Terminates when
-    the relative cost change of an accepted full step, or the proposed step
-    norm, drops below ``opts.inner_tol``, or after ``opts.max_iters``
-    iterations.  Under a log-barrier a control step that would come near the
-    boundary of the control constraints is shortened
+    the relative cost change of an accepted full step drops below
+    ``opts.inner_tol``; when the proposed step norm does, unless a step was
+    rejected since the last accepted one (or the start), since rejections
+    shrink the step by growing the regularization; or after
+    ``opts.max_iters`` iterations.  Under a log-barrier a control step that
+    would come near the boundary of the control constraints is shortened
     (:func:`barrier_step_scale`) before the rollout, and the gain ratio uses
     the model decrease of the shortened step; a shortened step never counts
     as converged.  A step crossing a state constraint or diverging under the
@@ -224,11 +226,14 @@ def newton_solve(dyn: DynamicsModel, cost: CostModel, aug: AugmentedCost | None,
     expansion = None
     history: list[IterationRecord] = []
     termination = TERM_MAX_ITERS
+    # a step is small either at a minimum or because rejections grew alpha;
+    # only the first is convergence
+    rejected = False
 
     while len(history) < opts.max_iters:
         if expansion is None:
-            costates, lin, stage = costate_pass(traj, cost, aug, dyn)
-            expansion = hamiltonian_expansion(traj, costates, lin, stage, cost, alpha)
+            costates, f, stage = costate_pass(traj, cost, aug, dyn)
+            expansion = hamiltonian_expansion(traj, costates, f, stage, cost, alpha)
         elif expansion.alpha != alpha:
             expansion = expansion.with_alpha(alpha)
 
@@ -242,10 +247,11 @@ def newton_solve(dyn: DynamicsModel, cost: CostModel, aug: AugmentedCost | None,
                 ) from err
             history.append(IterationRecord(cur_cost, alpha, -math.inf, math.nan, False))
             alpha, nu, _ = regularization_update(alpha, nu, -math.inf)
+            rejected = True
             continue
 
         step_norm = float(np.max(np.abs(dus)))
-        if step_norm <= opts.inner_tol:
+        if step_norm <= opts.inner_tol and not rejected:
             history.append(IterationRecord(cur_cost, alpha, math.nan, step_norm, False))
             termination = TERM_STEP
             break
@@ -262,6 +268,7 @@ def newton_solve(dyn: DynamicsModel, cost: CostModel, aug: AugmentedCost | None,
         except (InfeasibleError, DivergenceError):
             ratio = -math.inf
         alpha, nu, accepted = regularization_update(alpha, nu, ratio)
+        rejected = not accepted
 
         if accepted:
             rel_change = abs(cur_cost - new_cost) / max(1.0, abs(cur_cost))

@@ -31,7 +31,6 @@ from .problem import (
     AugmentedCost,
     CostModel,
     DynamicsModel,
-    Linearization,
     StageDerivatives,
     Trajectory,
 )
@@ -135,7 +134,7 @@ def rollout_combine(first: RolloutElement, second: RolloutElement) -> RolloutEle
 
 def costate_pass(traj: Trajectory, cost: CostModel, aug: AugmentedCost,
                  dyn: DynamicsModel
-                 ) -> tuple[np.ndarray, Linearization, StageDerivatives]:
+                 ) -> tuple[np.ndarray, StageDerivatives, StageDerivatives]:
     """Adjoint vectors lambda_{1:N+1} of the augmented Lagrangian, with the
     model derivatives at the nominal that they were built from.
 
@@ -144,55 +143,53 @@ def costate_pass(traj: Trajectory, cost: CostModel, aug: AugmentedCost,
     gradient as boundary.  Each step is the affine map of the propagation
     pass, ``RolloutElement(fx_t^T, lx_t + cx_t)``, so the recursion is a
     suffix scan of :func:`rollout_combine` with its operands swapped.  The
-    dynamics are linearized (``dyn.linearize``) and the stage cost and the
-    augmentation differentiated (``derivatives``) once, at every stage; the
-    linearization and the summed stage-cost derivatives are returned for
-    :func:`hamiltonian_expansion`, which needs the rest of them at the same
-    nominal.
+    dynamics, the stage cost and the augmentation are each differentiated
+    (``derivatives``) once, at every stage; the dynamics' record and the
+    summed stage-cost record are returned for :func:`hamiltonian_expansion`,
+    which needs the rest of them at the same nominal.
     """
     xs, us = traj.states[:-1], traj.controls
     lam_final = np.asarray(cost.terminal_x(traj.states[-1]), dtype=float)
-    lin = dyn.linearize(xs, us)
+    f = dyn.derivatives(xs, us)
     stage = StageDerivatives(*map(np.add, cost.derivatives(xs, us), aug.derivatives(xs, us)))
     # fold the boundary into the last element; its zero Jacobian absorbs
     # everything to its right during the scan
     elements = RolloutElement(
-        F=np.concatenate([_T(lin.fx[:-1]), np.zeros((1, dyn.d_x, dyn.d_x))]),
-        e=np.vstack([stage.x[:-1], stage.x[-1] + lin.fx[-1].T @ lam_final]),
+        F=np.concatenate([_T(f.x[:-1]), np.zeros((1, dyn.d_x, dyn.d_x))]),
+        e=np.vstack([stage.x[:-1], stage.x[-1] + f.x[-1].T @ lam_final]),
     )
     suffix = scan(elements, lambda a, b: rollout_combine(b, a), ScanDirection.REVERSE)
-    return np.vstack([suffix.e, lam_final]), lin, stage
+    return np.vstack([suffix.e, lam_final]), f, stage
 
 
 # ---------------------------------------------------------------------------
 # quadratic expansion
 # ---------------------------------------------------------------------------
 
-def hamiltonian_expansion(traj: Trajectory, costates: np.ndarray, lin: Linearization,
+def hamiltonian_expansion(traj: Trajectory, costates: np.ndarray, f: StageDerivatives,
                           stage: StageDerivatives, cost: CostModel,
                           alpha: float = 0.0) -> StageExpansion:
     """Second-order stage data (P, R, M, d) of the augmented Lagrangian.
 
-    ``costates``, the dynamics linearization ``lin`` and the stage-cost
+    ``costates``, the dynamics' derivatives ``f`` and the stage-cost
     derivatives ``stage`` (cost plus augmentation) are those returned by
     :func:`costate_pass` at the same nominal, so the expansion reads the
-    cost model only for its terminal Hessian.  Second derivatives of the
-    dynamics enter through contraction with the next adjoint vector, which
-    is what distinguishes the Newton expansion from a Gauss-Newton (iLQR)
-    one.
+    cost model only for its terminal Hessian.  Each field of the stage
+    Hamiltonian ``l + c + lambda_{t+1}^T f`` is the stage field plus the
+    dynamics field contracted with the next adjoint vector over its output
+    component; through the second derivatives this contraction is what
+    distinguishes the Newton expansion from a Gauss-Newton (iLQR) one.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     n, d_u = traj.horizon, traj.d_u
     lam = np.asarray(costates[1:], dtype=float)  # (N, d_x)
-    P = stage.xx + np.einsum("tk,tkij->tij", lam, lin.fxx)
-    R = stage.uu + np.einsum("tk,tkij->tij", lam, lin.fuu)
-    M = stage.xu + np.einsum("tk,tkij->tij", lam, lin.fxu)
-    d = stage.u + np.einsum("tkj,tk->tj", lin.fu, lam)
+    P, R, M, d = (getattr(stage, k) + np.einsum("tk,tk...->t...", lam, getattr(f, k))
+                  for k in ("xx", "uu", "xu", "u"))
     P = _sym(P)
     R = _sym(R)
     return StageExpansion(
-        P=P, R=R, M=M, d=d, Fx=lin.fx, Fu=lin.fu,
+        P=P, R=R, M=M, d=d, Fx=f.x, Fu=f.u,
         P_terminal=_sym(np.asarray(cost.terminal_xx(traj.states[n]), dtype=float)),
         alpha=float(alpha),
         R_reg=R + alpha * np.eye(d_u),

@@ -4,9 +4,9 @@ A discrete-time control problem is described by three model objects
 (dynamics, cost, constraints) plus an optional cost augmentation (log-barrier
 or consensus penalty) supplied by an outer solver.  Values and derivatives
 are evaluated over all stages at once, row ``t`` being stage ``t``, so
-time-varying problems are expressible: the dynamics derivatives by one
-``linearize`` call, and those of the stage cost and of the augmentation by
-one ``derivatives`` call each.  Only the dynamics map ``f(t, x, u)`` (for
+time-varying problems are expressible: the derivatives of the dynamics,
+of the stage cost and of the augmentation by one ``derivatives`` call each,
+all returning the same record.  Only the dynamics map ``f(t, x, u)`` (for
 the sequential rollout) and the terminal cost take a single point.  Every
 object is immutable after construction.
 """
@@ -61,19 +61,20 @@ class Trajectory:
         return self.controls.shape[1]
 
 
-class Linearization(NamedTuple):
-    """First and second derivatives of the dynamics at every stage.
+class StageDerivatives(NamedTuple):
+    """First and second derivatives of a stage function at every stage.
 
-    Row ``t`` of each field is stage ``t``.  Hessians use the
-    output-component-first layout: ``fxx[t, k]`` is the symmetric matrix of
-    second derivatives of output component ``k`` at stage ``t``.
+    Row ``t`` of each field is stage ``t``; the shapes below are those of a
+    scalar stage cost.  For the vector-valued dynamics the output component
+    is the axis after the stage axis: ``x[t, k]`` is the gradient and
+    ``xx[t, k]`` the symmetric Hessian of component ``k`` of ``f_t``.
     """
 
-    fx: np.ndarray   # (N, d_x, d_x)
-    fu: np.ndarray   # (N, d_x, d_u)
-    fxx: np.ndarray  # (N, d_x, d_x, d_x)
-    fuu: np.ndarray  # (N, d_x, d_u, d_u)
-    fxu: np.ndarray  # (N, d_x, d_x, d_u)
+    x: np.ndarray   # (N, d_x)
+    u: np.ndarray   # (N, d_u)
+    xx: np.ndarray  # (N, d_x, d_x)
+    uu: np.ndarray  # (N, d_u, d_u)
+    xu: np.ndarray  # (N, d_x, d_u)
 
 
 class DynamicsModel(abc.ABC):
@@ -81,16 +82,17 @@ class DynamicsModel(abc.ABC):
     derivatives.
 
     A model implements two methods.  ``f(t, x, u)`` is the map at one stage,
-    which the sequential rollout evaluates.  ``linearize(xs, us)`` takes
+    which the sequential rollout evaluates.  ``derivatives(xs, us)`` takes
     stacked states and controls (row ``t`` is stage ``t``) and returns every
-    derivative a Newton iteration needs, as one :class:`Linearization`, so a
-    model that shares work between them (as the jets of
-    :class:`pintoc.systems.JetDynamics` do) evaluates once per iteration.
+    derivative a Newton iteration needs, as one :class:`StageDerivatives`
+    like a stage cost's, so a model that shares work between them (as the
+    jets of :class:`pintoc.systems.JetDynamics` do) evaluates once per
+    iteration.
 
     ``f_batch(xs, us)`` is the map at every stage at once, used to check
     that a trajectory follows the dynamics; it stacks ``f`` stage by stage
     unless a subclass vectorizes it.  ``fx_batch`` ... ``fxu_batch`` each
-    return one field of ``linearize``.  The solver never calls them; they
+    return one field of ``derivatives``.  The solver never calls them; they
     stay so that code resolving the derivatives by name keeps working.
     """
 
@@ -110,7 +112,7 @@ class DynamicsModel(abc.ABC):
         """Next state ``(d_x,)`` from the state and control of stage ``t``."""
 
     @abc.abstractmethod
-    def linearize(self, xs: np.ndarray, us: np.ndarray) -> Linearization:
+    def derivatives(self, xs: np.ndarray, us: np.ndarray) -> StageDerivatives:
         """Jacobians and Hessians of ``f`` at every row of ``(xs, us)``."""
 
     def f_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -118,19 +120,19 @@ class DynamicsModel(abc.ABC):
         return stack_stages(self.f, xs, us)
 
     def fx_batch(self, xs, us):
-        return self.linearize(xs, us).fx
+        return self.derivatives(xs, us).x
 
     def fu_batch(self, xs, us):
-        return self.linearize(xs, us).fu
+        return self.derivatives(xs, us).u
 
     def fxx_batch(self, xs, us):
-        return self.linearize(xs, us).fxx
+        return self.derivatives(xs, us).xx
 
     def fuu_batch(self, xs, us):
-        return self.linearize(xs, us).fuu
+        return self.derivatives(xs, us).uu
 
     def fxu_batch(self, xs, us):
-        return self.linearize(xs, us).fxu
+        return self.derivatives(xs, us).xu
 
 
 def stack_stages(fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
@@ -138,17 +140,6 @@ def stack_stages(fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
     """Evaluate a per-stage ``fn(t, x, u)`` at every row, stacked by stage."""
     return np.stack([np.asarray(fn(t, xs[t], us[t]), dtype=float)
                      for t in range(len(us))])
-
-
-class StageDerivatives(NamedTuple):
-    """First and second derivatives of a stage cost at every stage, row ``t``
-    being stage ``t``."""
-
-    x: np.ndarray   # (N, d_x)
-    u: np.ndarray   # (N, d_u)
-    xx: np.ndarray  # (N, d_x, d_x)
-    uu: np.ndarray  # (N, d_u, d_u)
-    xu: np.ndarray  # (N, d_x, d_u)
 
 
 class CostModel(abc.ABC):

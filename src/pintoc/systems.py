@@ -29,7 +29,6 @@ from .problem import (
     ControlProblem,
     CostModel,
     DynamicsModel,
-    Linearization,
     StageDerivatives,
 )
 
@@ -57,14 +56,14 @@ class LinearDynamics(DynamicsModel):
     def f(self, t, x, u):
         return self.A @ x + self.B @ u + self.offset
 
-    def linearize(self, xs, us):
+    def derivatives(self, xs, us):
         n, d_x, d_u = len(us), self.d_x, self.d_u
-        return Linearization(
-            fx=np.broadcast_to(self.A, (n, d_x, d_x)),
-            fu=np.broadcast_to(self.B, (n, d_x, d_u)),
-            fxx=np.zeros((n, d_x, d_x, d_x)),
-            fuu=np.zeros((n, d_x, d_u, d_u)),
-            fxu=np.zeros((n, d_x, d_x, d_u)),
+        return StageDerivatives(
+            x=np.broadcast_to(self.A, (n, d_x, d_x)),
+            u=np.broadcast_to(self.B, (n, d_x, d_u)),
+            xx=np.zeros((n, d_x, d_x, d_x)),
+            uu=np.zeros((n, d_x, d_u, d_u)),
+            xu=np.zeros((n, d_x, d_x, d_u)),
         )
 
 
@@ -206,8 +205,8 @@ class JetDynamics(DynamicsModel):
     arrays holding one entry of every stage it is ``f_batch``, the same
     floating-point operations in the same order, so its rows equal ``f``
     bit for bit.  On :class:`_Jet` seeds over ``(x, u)`` at every stage it
-    yields all the Jacobians and Hessians at once: :meth:`linearize` is one
-    such evaluation.
+    yields all the Jacobians and Hessians at once: :meth:`derivatives` is
+    one such evaluation.
     """
 
     @abc.abstractmethod
@@ -234,11 +233,11 @@ class JetDynamics(DynamicsModel):
         return (np.stack([y.grad for y in out], axis=1),
                 np.stack([y.hess for y in out], axis=1))
 
-    def linearize(self, xs, us):
+    def derivatives(self, xs, us):
         grad, hess = self._jets(xs, us)
         x, u = slice(None, self.d_x), slice(self.d_x, None)
-        return Linearization(fx=grad[..., x], fu=grad[..., u], fxx=hess[..., x, x],
-                             fuu=hess[..., u, u], fxu=hess[..., x, u])
+        return StageDerivatives(x=grad[..., x], u=grad[..., u], xx=hess[..., x, x],
+                                uu=hess[..., u, u], xu=hess[..., x, u])
 
 
 # ---------------------------------------------------------------------------

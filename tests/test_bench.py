@@ -129,6 +129,24 @@ def test_config_file_parsing(tmp_path):
     assert cfg.rho == 0.5
 
 
+def test_config_file_tuple_fields(tmp_path):
+    # every tuple-valued option reads a comma list, not only the horizons
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "system = pendulum\n"
+        "horizons = 8\n"
+        "total_time = 0.8\n"
+        "repetitions = 1\n"
+        "state_weights = 10, 1\n"
+        "mpc_start = none\n"
+    )
+    values = read_config_file(path)
+    assert values["state_weights"] == (10, 1)
+    assert values["horizons"] == (8,)
+    assert values["mpc_start"] is None
+    assert main(["bench", "--config", str(path)]) == EXIT_OK
+
+
 def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("no_such_option = 3\n")

@@ -18,9 +18,9 @@ from pintoc import (
     FiniteDiffCost,
     FiniteDiffDynamics,
     LinearDynamics,
-    Linearization,
     PendulumDynamics,
     QuadraticCost,
+    StageDerivatives,
     check_derivatives,
 )
 
@@ -57,23 +57,23 @@ def test_barrier_symmetric_point_zero_gradient():
 
 def test_mismatch_names_derivative():
     class Broken(PendulumDynamics):
-        def linearize(self, xs, us):
-            lin = super().linearize(xs, us)
-            return lin._replace(fu=lin.fu + 0.5)
+        def derivatives(self, xs, us):
+            lin = super().derivatives(xs, us)
+            return lin._replace(u=lin.u + 0.5)
 
     with pytest.raises(DerivativeCheckError, match="fu"):
         check_derivatives(Broken(horizon=1), (np.array([[0.2, 0.1]]), np.array([[0.3]])))
 
 
 def test_mismatch_at_one_stage_of_a_batch_is_found(rng):
-    # linearize is what the solver runs, so an error confined to one row of
+    # derivatives is what the solver runs, so an error confined to one row of
     # one of its fields must fail the check
     class Broken(CartPoleDynamics):
-        def linearize(self, xs, us):
-            lin = super().linearize(xs, us)
-            fxu = lin.fxu.copy()
+        def derivatives(self, xs, us):
+            lin = super().derivatives(xs, us)
+            fxu = lin.xu.copy()
             fxu[3] += 1e-3
-            return lin._replace(fxu=fxu)
+            return lin._replace(xu=fxu)
 
     xs = rng.uniform((-1, -np.pi, -2, -3), (1, np.pi, 2, 3), size=(5, 4))
     us = rng.uniform(-60.0, 60.0, size=(5, 1))
@@ -83,17 +83,17 @@ def test_mismatch_at_one_stage_of_a_batch_is_found(rng):
     assert str(exc.value).count("(abs") == 1  # no other derivative is named
 
 
-@pytest.mark.parametrize("field", Linearization._fields)
+@pytest.mark.parametrize("field", ["f" + name for name in StageDerivatives._fields])
 def test_every_field_of_linearize_is_checked_at_every_stage(field, rng):
     xs = rng.uniform((-1, -np.pi, -2, -3), (1, np.pi, 2, 3), size=(4, 4))
     us = rng.uniform(-60.0, 60.0, size=(4, 1))
     for stage in range(4):
         class Broken(CartPoleDynamics):
-            def linearize(self, xs, us):
-                lin = super().linearize(xs, us)
-                part = getattr(lin, field).copy()
+            def derivatives(self, xs, us):
+                lin = super().derivatives(xs, us)
+                part = getattr(lin, field[1:]).copy()
                 part[stage] += 1e-3
-                return lin._replace(**{field: part})
+                return lin._replace(**{field[1:]: part})
 
         with pytest.raises(DerivativeCheckError, match=f"failed for: {field} ") as exc:
             check_derivatives(Broken(horizon=4), (xs, us))

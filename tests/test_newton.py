@@ -10,9 +10,12 @@ import pintoc.newton
 from pintoc import (
     BarrierAugmentation,
     BoxConstraint,
+    DivergenceError,
     LinearDynamics,
     NewtonOptions,
+    PintocError,
     QuadraticCost,
+    SolverStalledError,
     ZeroAugmentation,
     gain_ratio,
     make_swingup_problem,
@@ -90,6 +93,32 @@ def test_already_optimal_terminates_immediately(rng):
     assert report.iterations == 1
     assert report.history[0].step_norm <= 1e-8
     assert report.termination == "converged_step"
+
+
+def test_small_steps_after_rejections_are_not_convergence(rng, monkeypatch):
+    # every rejection grows alpha and so shrinks the next step; a step that
+    # is small only for that reason must not end the solve as converged
+    dyn, cost, x1, init = lq_bundle(rng, 3, 2, 1)
+
+    def diverge(model, x, controls):
+        raise DivergenceError(1)
+
+    monkeypatch.setattr(pintoc.newton, "rollout", diverge)
+    traj, report = newton_solve(dyn, cost, None, init)
+    assert report.termination == "stalled"
+    assert not report.converged
+    assert all(not rec.accepted and rec.gain_ratio == -math.inf for rec in report.history)
+    assert traj is init
+
+
+def test_indefinite_subproblem_past_alpha_ceiling_raises_stalled(rng):
+    # a Hessian in u of -1e20 stays indefinite for every alpha up to the
+    # ceiling, so the solver must give up with its typed error
+    dyn, cost, x1, init = lq_bundle(rng, 3, 2, 1)
+    cost = QuadraticCost(cost.Q, np.array([[-1e20]]), cost.Qf, cost.x_goal)
+    with pytest.raises(SolverStalledError) as exc:
+        newton_solve(dyn, cost, None, init)
+    assert isinstance(exc.value, PintocError)
 
 
 def test_quadratic_gain_ratio_is_one(rng):
@@ -177,8 +206,8 @@ def test_inconsistent_initial_rejected(rng):
 
 
 def test_one_jet_evaluation_per_expanded_nominal():
-    # linearize evaluates the jets of the step, and the stage cost its
-    # derivatives, once per nominal the solver expands; a rejected step
+    # the dynamics' derivatives evaluate the jets of the step, and the stage
+    # cost its derivatives, once per nominal the solver expands; a rejected step
     # keeps the expansion and evaluates none
     class Counting(pintoc.PendulumDynamics):
         jets = 0

@@ -101,10 +101,10 @@ def test_costate_pass_single_stage():
     xs, us = traj.states[:-1], traj.controls
     # the pass hands on the model derivatives it used, for the expansion:
     # the stage cost's and the augmentation's summed field by field
-    assert all(np.array_equal(a, b) for a, b in zip(lin, dyn.linearize(xs, us)))
+    assert all(np.array_equal(a, b) for a, b in zip(lin, dyn.derivatives(xs, us)))
     assert all(np.array_equal(a, b + c) for a, b, c in
                zip(stage, cost.derivatives(xs, us), aug.derivatives(xs, us)))
-    expected = stage.x[0] + lin.fx[0].T @ lam[1]
+    expected = stage.x[0] + lin.x[0].T @ lam[1]
     assert np.allclose(lam[0], expected, atol=1e-12)
 
 
