@@ -90,10 +90,21 @@ class RunConfig:
             raise ValueError(f"system must be one of {SYSTEMS}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
-        if any(h < 1 for h in self.horizons):
-            raise ValueError("horizons must be positive")
+        if not self.horizons or any(h < 1 for h in self.horizons):
+            raise ValueError("horizons must be a non-empty list of positive integers")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        dt = 1.0 if self.dt is None else self.dt
+        if min(dt, self.total_time, self.mpc_horizon, self.sim_time, self.frequency) <= 0:
+            raise ValueError("dt, total_time, mpc_horizon, sim_time, frequency must be > 0")
+        self.barrier_options()  # the solver options check their own fields
+        self.admm_options()
+        d_x = len(swingup_start(self.system))
+        for name in ("state_weights", "mpc_start"):
+            value = getattr(self, name)
+            if value is not None and len(value) != d_x:
+                raise ValueError(f"{name} needs {d_x} entries for {self.system}, "
+                                 f"got {len(value)}")
 
     def newton_options(self) -> NewtonOptions:
         return NewtonOptions(alpha0=self.alpha0, inner_tol=self.inner_tol,

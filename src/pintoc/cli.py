@@ -8,65 +8,61 @@ Two subcommands:
   log.
 
 Options come from a flat ``key = value`` config file, overridden by CLI
-flags.  Exit codes: 0 on success, 1 on configuration errors, 2 when
-``--strict`` is set and any benchmark row (or MPC step) failed to converge.
+flags.  Config values and flags are read alike, by the type their
+:class:`~pintoc.bench.RunConfig` field declares (:func:`read_value`).
+Exit codes: 0 on success, 1 on configuration errors (a value that does not
+read as its field's type, fails the ``RunConfig`` checks, or a bad flag),
+2 when ``--strict`` is set and any benchmark row (or MPC step) failed to
+converge.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import typing
 from pathlib import Path
 
 import numpy as np
 
-from .bench import RunConfig, emit_plotdata, run_benchmark, run_mpc
+from .bench import SOLVERS, RunConfig, emit_plotdata, run_benchmark, run_mpc
+from .systems import SYSTEMS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_UNCONVERGED = 2
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 class ConfigError(Exception):
     pass
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("none", ""):
-        return None
+def read_value(key: str, text: str, where: str):
+    """``text`` read as the type of the ``RunConfig`` field ``key``.
+
+    ``none`` or an empty value is None for an optional field, a tuple field
+    is a comma or space separated list of its item type, and any other
+    field converts with its own type (``int``, ``float`` or ``str``).
+
+    Raises:
+        ConfigError: naming ``where`` and ``key`` if ``text`` does not convert.
+    """
+    hint = _FIELD_TYPES[key]
+    text = text.strip().strip("'\"")
+    kinds = typing.get_args(hint)
+    if type(None) in kinds:
+        if text.lower() in ("none", ""):
+            return None
+        hint = kinds[0]
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text.strip("'\"")
-
-
-def _is_tuple(hint) -> bool:
-    """Whether a field annotation is ``tuple[...]`` or ``tuple[...] | None``."""
-    return tuple in (typing.get_origin(hint), *map(typing.get_origin, typing.get_args(hint)))
-
-
-_TUPLE_FIELDS = {name for name, hint in typing.get_type_hints(RunConfig).items()
-                 if _is_tuple(hint)}
-
-
-def _parse_value(key: str, text: str):
-    # a tuple field reads a comma or space separated list; ``none`` stays None
-    if key in _TUPLE_FIELDS and _parse_scalar(text) is not None:
-        return tuple(_parse_scalar(p) for p in text.replace(",", " ").split())
-    return _parse_scalar(text)
+        if typing.get_origin(hint) is tuple:
+            item = typing.get_args(hint)[0]
+            return tuple(item(part) for part in text.replace(",", " ").split())
+        return hint(text)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {key}: {err}") from None
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -81,7 +77,7 @@ def read_config_file(path: str | Path) -> dict:
         key, text = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        values[key] = _parse_value(key, text)
+        values[key] = read_value(key, text, f"{path}:{lineno}")
     return values
 
 
@@ -92,33 +88,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key in _FIELD_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = flag
+            values[key] = read_value(key, flag, "command line")
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
 
 
-def _comma_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.replace(",", " ").split())
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from err
-
-
-def _comma_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.replace(",", " ").split())
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from err
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--system", choices=("pendulum", "cartpole"))
-    parser.add_argument("--solver", choices=("barrier", "admm"))
-    parser.add_argument("--dt", type=float, help="fixed step size in seconds")
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--system", choices=SYSTEMS)
+    parser.add_argument("--solver", choices=SOLVERS)
+    parser.add_argument("--dt", help="fixed step size in seconds")
+    parser.add_argument("--seed")
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--strict", action="store_true",
                         help="exit with code 2 if anything failed to converge")
@@ -135,19 +117,19 @@ def make_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="horizon-scaling benchmark")
     _add_common(bench)
-    bench.add_argument("--horizons", type=_comma_ints,
+    bench.add_argument("--horizons",
                        help="comma-separated horizon list, e.g. 20,100,500")
-    bench.add_argument("--total-time", dest="total_time", type=float,
+    bench.add_argument("--total-time", dest="total_time",
                        help="plan duration in seconds when --dt is not given")
-    bench.add_argument("--reps", dest="repetitions", type=int)
+    bench.add_argument("--reps", dest="repetitions")
 
     mpc = sub.add_parser("mpc", help="closed-loop MPC simulation")
     _add_common(mpc)
-    mpc.add_argument("--mpc-horizon", dest="mpc_horizon", type=int)
-    mpc.add_argument("--sim-time", dest="sim_time", type=float)
-    mpc.add_argument("--frequency", type=float)
-    mpc.add_argument("--target-position", dest="target_position", type=float)
-    mpc.add_argument("--mpc-start", dest="mpc_start", type=_comma_floats,
+    mpc.add_argument("--mpc-horizon", dest="mpc_horizon")
+    mpc.add_argument("--sim-time", dest="sim_time")
+    mpc.add_argument("--frequency")
+    mpc.add_argument("--target-position", dest="target_position")
+    mpc.add_argument("--mpc-start", dest="mpc_start",
                      help="comma-separated initial plant state")
     return parser
 
@@ -190,8 +172,12 @@ def _cmd_mpc(config: RunConfig, args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 2 on a bad flag, the code --strict reserves, and 0
+        # after --help
+        return EXIT_CONFIG if stop.code else EXIT_OK
     try:
         config = build_config(args)
     except (ConfigError, OSError) as err:

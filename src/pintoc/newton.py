@@ -5,18 +5,14 @@ order, solves the regularized quadratic subproblem through the value and
 propagation scans, and applies the control step.  States are re-rolled
 through the nonlinear dynamics after every accepted step so iterates stay
 dynamically feasible; the additive state deviations are used only inside the
-quadratic model.  Under a log-barrier augmentation a control step that would
-go further than ``TAU_BOUNDARY`` of the way to the boundary of the
-linearized control constraints ``h(u) < 0`` is first shortened: to that
-fraction-to-boundary at most, and to the minimum along the step of the model
-with the control barrier evaluated exactly.  For affine control constraints
-such as a box this keeps every iterate strictly feasible, so box crossings
-cost no rejected iteration.  Step acceptance and the regularization weight
-follow the Levenberg-Marquardt trust-region rule driven by the gain ratio
-between the actual and model-predicted cost reduction of the step actually
-taken.  State-constraint crossings (which reach the step only through the
-nonlinear rollout), divergence, an indefinite subproblem and a cost increase
-reject the step and grow the regularization weight.
+quadratic model.  The augmentation may first shorten a control step
+(:meth:`~pintoc.problem.AugmentedCost.step_scale`).  Step acceptance and the
+regularization weight follow the Levenberg-Marquardt trust-region rule
+driven by the gain ratio between the actual and model-predicted cost
+reduction of the step actually taken.  State-constraint crossings (which
+reach the step only through the nonlinear rollout), divergence, an
+indefinite subproblem and a cost increase reject the step and grow the
+regularization weight.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from .problem import (
 ALPHA_MAX = 1e12
 ALPHA_MIN = 1e-6  # weight a rejected step at alpha == 0 is retried with
 NU0 = 2.0         # growth factor of alpha at the first of consecutive rejections
-TAU_BOUNDARY = 0.995  # fraction of the distance to the control boundary a step may cover
 
 TERM_COST = "converged_cost"
 TERM_STEP = "converged_step"
@@ -131,56 +126,6 @@ def predicted_reduction(dus: np.ndarray, d: np.ndarray, alpha: float,
                        - scale * (2.0 - scale) * np.sum(dus * d))
 
 
-def barrier_step_scale(aug: AugmentedCost, controls: np.ndarray, dus: np.ndarray,
-                       d: np.ndarray, alpha: float) -> float:
-    """Fraction in (0, 1] of the control step to take under a log-barrier.
-
-    With ``dh = hu(u) du`` the linearized change of the control constraints,
-    a full step that goes at most ``TAU_BOUNDARY`` of the way to the boundary
-    of ``h + s*dh < 0`` is taken as is.  Otherwise the scale ``s`` is capped
-    at the fraction-to-boundary ``TAU_BOUNDARY * min(-h / dh)`` and, below
-    that cap, set to a minimizer along the step of the quadratic model with
-    its control-barrier part replaced by the exact barrier
-    ``-mu * sum(log(-h - s*dh))``: near the boundary the quadratic model
-    reaches far past the barrier's minimum.  Returns 1 for any augmentation
-    other than the log-barrier; state constraints are not capped here.
-    """
-    if aug.variant != "barrier":
-        return 1.0
-    con = aug.constraints
-    h = con.h_batch(controls)
-    dh = np.einsum("tmi,ti->tm", con.hu_batch(controls), dus)
-    rising = dh > 0
-    if not np.any(rising):
-        return 1.0
-    cap = TAU_BOUNDARY * float(np.min(-h[rising] / dh[rising]))
-    if cap >= 1.0:
-        return 1.0
-    q = dh / h
-    dd = float(np.sum(dus * d))
-    reg = alpha * float(np.sum(dus * dus))
-
-    def slope(s: float) -> float:
-        # derivative of the quadratic model along the step, plus the exact
-        # barrier's departure from its own second-order expansion
-        remainder = aug.mu * s * s * float(np.sum(q ** 3 / (1.0 + s * q)))
-        return (1.0 - s) * dd - s * reg - remainder
-
-    if slope(cap) <= 0:
-        return cap
-    # the slope is negative at 0 and positive at the cap: bisect the bracket
-    # down to 2**-50 of its width (importing scipy.optimize for a root
-    # finder would add ~20 MB and ~0.2 s to ``import pintoc``)
-    lo, hi = 0.0, cap
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo
-
-
 def _check_consistent(dyn: DynamicsModel, traj: Trajectory) -> None:
     bad = first_dynamics_gap(dyn, traj, 1e-8)
     if bad is not None:
@@ -201,9 +146,8 @@ def newton_solve(dyn: DynamicsModel, cost: CostModel, aug: AugmentedCost | None,
     ``opts.inner_tol``; when the proposed step norm does, unless a step was
     rejected since the last accepted one (or the start), since rejections
     shrink the step by growing the regularization; or after
-    ``opts.max_iters`` iterations.  Under a log-barrier a control step that
-    would come near the boundary of the control constraints is shortened
-    (:func:`barrier_step_scale`) before the rollout, and the gain ratio uses
+    ``opts.max_iters`` iterations.  The augmentation may shorten the control
+    step (``aug.step_scale``) before the rollout, and the gain ratio uses
     the model decrease of the shortened step; a shortened step never counts
     as converged.  A step crossing a state constraint or diverging under the
     dynamics, and an indefinite subproblem, are hard rejects recorded with
@@ -256,7 +200,7 @@ def newton_solve(dyn: DynamicsModel, cost: CostModel, aug: AugmentedCost | None,
             termination = TERM_STEP
             break
 
-        scale = barrier_step_scale(aug, traj.controls, dus, expansion.d, alpha)
+        scale = aug.step_scale(traj.controls, dus, expansion.d, alpha)
         predicted = predicted_reduction(dus, expansion.d, alpha, scale)
         alpha_used = alpha
         candidate = None

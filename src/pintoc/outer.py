@@ -5,6 +5,12 @@ subproblem to :func:`pintoc.newton.newton_solve` and recycle its solution as
 the next warm start.  The barrier loop shrinks the barrier weight towards
 zero; ADMM alternates the trajectory update with a clamp of the consensus
 variable and a dual ascent step, tracking primal and dual residuals.
+
+Under the log-barrier, :meth:`BarrierAugmentation.step_scale` shortens a
+Newton control step that would come near the boundary of the control
+constraints ``h(u) < 0``.  For affine control constraints such as a box this
+keeps every iterate strictly feasible, so box crossings cost no rejected
+iteration.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ from .problem import (
 # log-barrier interior point
 # ---------------------------------------------------------------------------
 
+TAU_BOUNDARY = 0.995  # fraction of the distance to the control boundary a step may cover
+
+
 class BarrierAugmentation(AugmentedCost):
     """Log-barrier penalty ``-mu * sum(log(-w))``.
 
@@ -35,8 +44,6 @@ class BarrierAugmentation(AugmentedCost):
     stage and the offending component index within the stacked constraint
     vector.
     """
-
-    variant = "barrier"
 
     def __init__(self, constraints: ConstraintModel, mu: float):
         if mu <= 0:
@@ -51,6 +58,53 @@ class BarrierAugmentation(AugmentedCost):
             raise InfeasibleError(t, cols.start + comp, float(w[t, comp]))
         inv = 1.0 / w
         return -self.mu * np.log(-w), -self.mu * inv, self.mu * inv * inv
+
+    def step_scale(self, controls, dus, d, alpha):
+        """Fraction in (0, 1] of the control step to take under the barrier.
+
+        With ``dh = hu(u) du`` the linearized change of the control
+        constraints, a full step that goes at most ``TAU_BOUNDARY`` of the
+        way to the boundary of ``h + s*dh < 0`` is taken as is.  Otherwise
+        the scale ``s`` is capped at the fraction-to-boundary
+        ``TAU_BOUNDARY * min(-h / dh)`` and, below that cap, set to a
+        minimizer along the step of the quadratic model with its
+        control-barrier part replaced by the exact barrier
+        ``-mu * sum(log(-h - s*dh))``: near the boundary the quadratic model
+        reaches far past the barrier's minimum.  State constraints are not
+        capped here.
+        """
+        con = self.constraints
+        h = con.h_batch(controls)
+        dh = np.einsum("tmi,ti->tm", con.hu_batch(controls), dus)
+        rising = dh > 0
+        if not np.any(rising):
+            return 1.0
+        cap = TAU_BOUNDARY * float(np.min(-h[rising] / dh[rising]))
+        if cap >= 1.0:
+            return 1.0
+        q = dh / h
+        dd = float(np.sum(dus * d))
+        reg = alpha * float(np.sum(dus * dus))
+
+        def slope(s: float) -> float:
+            # derivative of the quadratic model along the step, plus the exact
+            # barrier's departure from its own second-order expansion
+            remainder = self.mu * s * s * float(np.sum(q ** 3 / (1.0 + s * q)))
+            return (1.0 - s) * dd - s * reg - remainder
+
+        if slope(cap) <= 0:
+            return cap
+        # the slope is negative at 0 and positive at the cap: bisect the
+        # bracket down to 2**-50 of its width (importing scipy.optimize for a
+        # root finder would add ~20 MB and ~0.2 s to ``import pintoc``)
+        lo, hi = 0.0, cap
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if slope(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        return lo
 
 
 def assert_strictly_feasible(constraints: ConstraintModel, traj: Trajectory) -> None:
@@ -141,8 +195,6 @@ def barrier_solve(problem: ControlProblem, initial: Trajectory,
 
 class AdmmAugmentation(AugmentedCost):
     """Consensus penalty ``(rho/2) * ||w(x,u) - z_t + v_t/rho||^2``."""
-
-    variant = "admm"
 
     def __init__(self, constraints: ConstraintModel, rho: float,
                  z: np.ndarray, v: np.ndarray):

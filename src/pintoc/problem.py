@@ -304,12 +304,10 @@ class AugmentedCost(abc.ABC):
     ``h`` and of the penalty of each, and evaluates nothing for a part
     without constraints (a control-only box has no ``g``).
 
-    ``variant`` identifies the flavor: ``"zero"``, ``"barrier"`` (log-barrier
-    with parameter mu, defined only on the strict interior) or ``"admm"``
-    (quadratic consensus penalty with parameters rho, z, v).
+    :meth:`step_scale` lets a penalty defined only on part of the control
+    space shorten a Newton step before its rollout.
     """
 
-    variant: str = "zero"
     constraints: ConstraintModel
 
     @abc.abstractmethod
@@ -349,11 +347,16 @@ class AugmentedCost(abc.ABC):
         cxu = np.broadcast_to(0.0, (len(us), xs.shape[1], us.shape[1]))
         return StageDerivatives(cx, cu, cxx, cuu, cxu)
 
+    def step_scale(self, controls: np.ndarray, dus: np.ndarray, d: np.ndarray,
+                   alpha: float) -> float:
+        """Fraction in (0, 1] of the control step ``dus`` to take from
+        ``controls``, where ``(H + alpha*I) dus = -d``; the whole step here."""
+        return 1.0
+
 
 class ZeroAugmentation(AugmentedCost):
     """No augmentation; reduces the augmented objective to the plain cost."""
 
-    variant = "zero"
     constraints = BoxConstraint(0, 0)  # no bounds: every evaluator returns zeros
 
     def penalty(self, w, cols):

@@ -1,6 +1,7 @@
 """Harness: CSV round trips, determinism, plot-data export, CLI."""
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -145,6 +146,68 @@ def test_config_file_tuple_fields(tmp_path):
     assert values["horizons"] == (8,)
     assert values["mpc_start"] is None
     assert main(["bench", "--config", str(path)]) == EXIT_OK
+
+
+# a value for every RunConfig field, written below as config text: tuples
+# as comma lists, None as ``none``
+SAMPLE_CONFIG = dict(
+    system="cartpole", solver="admm", horizons=(10, 20), dt=0.05, total_time=1.5,
+    repetitions=3, seed=4, out="runs/bench.csv", mu0=0.2, zeta=0.3, mu_tol=1e-5,
+    rho=None, residual_tol=1e-3, max_outer=40, alpha0=0.5, inner_tol=1e-7,
+    max_inner=90, control_scale=0.5, state_weights=(20.0, 10.0, 1.0, 1.0),
+    control_weight=0.01, terminal_scale=5.0, mpc_horizon=30, sim_time=1.0,
+    frequency=50.0, target_position=0.25, mpc_start=(0.2, 3.0, 0.0, 0.0),
+)
+
+
+def test_config_file_reads_every_field_back(tmp_path):
+    assert set(SAMPLE_CONFIG) == {f.name for f in dataclasses.fields(RunConfig)}
+
+    def render(value):
+        if value is None:
+            return "none"
+        if isinstance(value, tuple):
+            return ", ".join(map(str, value))
+        return str(value)
+
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {render(value)}\n"
+                            for key, value in SAMPLE_CONFIG.items()))
+    values = read_config_file(path)
+    assert values == SAMPLE_CONFIG
+    assert {k: type(v) for k, v in values.items()} == \
+           {k: type(v) for k, v in SAMPLE_CONFIG.items()}
+    assert RunConfig(**values) == RunConfig(**SAMPLE_CONFIG)
+
+
+@pytest.mark.parametrize("command, text", [
+    # a weight vector or start state of the wrong length for the system
+    ("bench", "system = cartpole\nhorizons = 8\nstate_weights = 10, 1\n"),
+    ("mpc", "system = pendulum\nmpc_start = 1, 2, 3\n"),
+    # values that do not read as their field's type
+    ("bench", "horizons = 8\nrepetitions = 1.5\n"),
+    ("bench", "horizons = 8\nmu0 = abc\n"),
+    # values of the right type out of their range
+    ("bench", "horizons = 8\nmu0 = -1\n"),
+    ("mpc", "frequency = 0\n"),
+])
+def test_cli_bad_config_value_exit_code(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--reps", "x"],
+    ["bench", "--horizons", "8,x"],
+    ["mpc", "--system", "helicopter"],
+    ["bench", "--no-such-flag"],
+])
+def test_cli_bad_flag_exit_code(argv):
+    # argparse's own exit code 2 would read as an unconverged --strict run
+    assert main(argv) == EXIT_CONFIG
 
 
 def test_config_file_unknown_key(tmp_path):

@@ -8,6 +8,7 @@ from conftest import lq_bundle, lq_optimum, random_lq_problem
 
 import pintoc.newton
 from pintoc import (
+    AdmmAugmentation,
     BarrierAugmentation,
     BoxConstraint,
     DivergenceError,
@@ -264,10 +265,11 @@ def test_shortened_step_lands_at_barrier_minimum():
     assert abs(traj.controls[0, 0] - 0.5 * (1.0 + math.sqrt(1.0 + 2.0 * mu))) < 1e-9
     # a step going half way to the boundary is taken in full, and so is any
     # step without a barrier
-    step_scale = pintoc.newton.barrier_step_scale
     d = np.zeros((1, 1))
-    assert step_scale(aug, init.controls, np.array([[-0.5]]), d, 1.0) == 1.0
-    assert step_scale(ZeroAugmentation(), init.controls, np.array([[-2.0]]), d, 1.0) == 1.0
+    assert aug.step_scale(init.controls, np.array([[-0.5]]), d, 1.0) == 1.0
+    admm = AdmmAugmentation(box, 1.0, np.zeros((1, 1)), np.zeros((1, 1)))
+    for other in (ZeroAugmentation(), admm):
+        assert other.step_scale(init.controls, np.array([[-2.0]]), d, 1.0) == 1.0
 
 
 def test_predicted_reduction_formula(rng):
