@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -86,6 +88,12 @@ class RunConfig:
     mpc_start: tuple[float, ...] | None = None  # None uses the per-system default
 
     def __post_init__(self):
+        for name, hint in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if hint is int and not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if hint == tuple[int, ...] and not all(map(_is_int, value)):
+                raise ValueError(f"{name} must be integers, got {value!r}")
         if self.system not in SYSTEMS:
             raise ValueError(f"system must be one of {SYSTEMS}")
         if self.solver not in SOLVERS:
@@ -97,6 +105,9 @@ class RunConfig:
         dt = 1.0 if self.dt is None else self.dt
         if min(dt, self.total_time, self.mpc_horizon, self.sim_time, self.frequency) <= 0:
             raise ValueError("dt, total_time, mpc_horizon, sim_time, frequency must be > 0")
+        if self.mpc_steps < 1:
+            raise ValueError(f"sim_time * frequency = {self.sim_time * self.frequency:g} "
+                             "rounds to 0 MPC steps; a run needs at least 1")
         self.barrier_options()  # the solver options check their own fields
         self.admm_options()
         d_x = len(swingup_start(self.system))
@@ -105,6 +116,11 @@ class RunConfig:
             if value is not None and len(value) != d_x:
                 raise ValueError(f"{name} needs {d_x} entries for {self.system}, "
                                  f"got {len(value)}")
+
+    @property
+    def mpc_steps(self) -> int:
+        """Closed-loop steps of an MPC run: ``sim_time`` at ``frequency``."""
+        return int(round(self.sim_time * self.frequency))
 
     def newton_options(self) -> NewtonOptions:
         return NewtonOptions(alpha0=self.alpha0, inner_tol=self.inner_tol,
@@ -119,6 +135,9 @@ class RunConfig:
         return AdmmOptions(rho=rho, residual_tol=self.residual_tol,
                            max_outer=self.max_outer, newton=self.newton_options())
 
+    def solver_options(self) -> BarrierOptions | AdmmOptions:
+        return self.barrier_options() if self.solver == "barrier" else self.admm_options()
+
     def step_size(self, horizon: int) -> float:
         return self.dt if self.dt is not None else self.total_time / horizon
 
@@ -128,6 +147,15 @@ class RunConfig:
             self.system, horizon, dt, q=self.state_weights, r=r,
             terminal_scale=self.terminal_scale,
             target_position=self.target_position)
+
+
+# the declared type of every RunConfig field, which config values and flags
+# are read as and which RunConfig checks its integer fields against
+FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -175,10 +203,11 @@ def draw_initial_controls(problem: ControlProblem, config: RunConfig,
     return controls
 
 
-def _solve(problem: ControlProblem, initial: Trajectory, config: RunConfig):
-    if config.solver == "barrier":
-        return barrier_solve(problem, initial, config.barrier_options())
-    return admm_solve(problem, initial, config.admm_options())
+def _solve(problem: ControlProblem, initial: Trajectory,
+           options: BarrierOptions | AdmmOptions):
+    if isinstance(options, BarrierOptions):
+        return barrier_solve(problem, initial, options)
+    return admm_solve(problem, initial, options)
 
 
 def validate_solution(problem: ControlProblem, traj: Trajectory,
@@ -224,6 +253,7 @@ def run_benchmark(config: RunConfig) -> list[BenchmarkRecord]:
     Solver failures are recorded as unconverged rows rather than raised.
     """
     records: list[BenchmarkRecord] = []
+    options = config.solver_options()
     for horizon in config.horizons:
         problem = config.build_problem(horizon, config.step_size(horizon))
         x_start = swingup_start(config.system)
@@ -233,7 +263,7 @@ def run_benchmark(config: RunConfig) -> list[BenchmarkRecord]:
             initial = rollout(problem.dynamics, x_start, controls)
             start = time.perf_counter()
             try:
-                traj, report = _solve(problem, initial, config)
+                traj, report = _solve(problem, initial, options)
             except PintocError:
                 return BenchmarkRecord(config.system, config.solver, horizon, rep,
                                        time.perf_counter() - start, 0, 0, False)
@@ -312,6 +342,7 @@ class MpcLog:
     controls: np.ndarray   # (S, d_u) applied controls
     solve_s: np.ndarray    # (S,) per-step solve wall time
     converged: np.ndarray  # (S,) bool
+    iterations: np.ndarray  # (S,) Newton iterations per step, 0 where the solve raised
 
     @property
     def steps(self) -> int:
@@ -338,48 +369,55 @@ def run_mpc(config: RunConfig) -> MpcLog:
     """Receding-horizon simulation with shift warm starts.
 
     Each step solves the fixed-horizon problem from the current plant state,
-    applies the first control, and advances the plant by one model step.  A
-    failed solve is logged and the loop continues with the last applied
-    control.
+    applies the first control, and advances the plant by one model step.
+    The warm start of the next step is the plan shifted by one stage and,
+    under the barrier, the last barrier weight of a converged solve: the
+    next solve then runs one barrier round at that weight instead of all
+    rounds from ``mu0``.  A failed solve is logged, the loop continues with
+    the last applied control, and the next step starts cold from ``mu0``.
     """
     config = mpc_config(config)
     dt = 1.0 / config.frequency
-    steps = int(round(config.sim_time * config.frequency))
+    steps = config.mpc_steps
     horizon = config.mpc_horizon
     problem = config.build_problem(horizon, dt)
     dyn = problem.dynamics
 
     state = np.asarray(config.mpc_start, dtype=float)
     warm = draw_initial_controls(problem, config, horizon, rep=0)
+    cold = options = config.solver_options()
 
     states = np.empty((steps + 1, dyn.d_x))
     controls = np.empty((steps, dyn.d_u))
     solve_s = np.empty(steps)
     converged = np.empty(steps, dtype=bool)
+    iterations = np.zeros(steps, dtype=int)
     states[0] = state
     last_control = np.zeros(dyn.d_u)
     for k in range(steps):
         start = time.perf_counter()
         try:
             initial = rollout(dyn, state, warm)
-            traj, report = _solve(problem, initial, config)
-            ok = report.converged
-            plan = traj.controls
+            traj, report = _solve(problem, initial, options)
         except PintocError:
-            ok = False
-            plan = None
+            report = None
         solve_s[k] = time.perf_counter() - start
-        converged[k] = ok
-        if plan is not None:
+        converged[k] = report is not None and report.converged
+        options = cold
+        if report is not None:
+            iterations[k] = report.inner_iterations
+            plan = traj.controls
             last_control = plan[0].copy()
             warm = np.vstack([plan[1:], plan[-1:]])  # shift, repeat last
+            if report.converged and isinstance(report, BarrierReport) and report.rounds:
+                options = replace(cold, mu0=report.rounds[-1].mu)
         controls[k] = last_control
         state = dyn.f(0, state, last_control)
         states[k + 1] = state
     return MpcLog(
         system=config.system, dt=dt,
         times=dt * np.arange(steps), states=states, controls=controls,
-        solve_s=solve_s, converged=converged,
+        solve_s=solve_s, converged=converged, iterations=iterations,
     )
 
 

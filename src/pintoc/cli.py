@@ -25,14 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import SOLVERS, RunConfig, emit_plotdata, run_benchmark, run_mpc
+from .bench import FIELD_TYPES, SOLVERS, RunConfig, emit_plotdata, run_benchmark, run_mpc
 from .systems import SYSTEMS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_UNCONVERGED = 2
-
-_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 class ConfigError(Exception):
@@ -49,7 +47,7 @@ def read_value(key: str, text: str, where: str):
     Raises:
         ConfigError: naming ``where`` and ``key`` if ``text`` does not convert.
     """
-    hint = _FIELD_TYPES[key]
+    hint = FIELD_TYPES[key]
     text = text.strip().strip("'\"")
     kinds = typing.get_args(hint)
     if type(None) in kinds:
@@ -75,7 +73,7 @@ def read_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, text = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
         values[key] = read_value(key, text, f"{path}:{lineno}")
     return values
@@ -85,7 +83,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
         values.update(read_config_file(args.config))
-    for key in _FIELD_TYPES:
+    for key in FIELD_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = read_value(key, flag, "command line")
@@ -158,11 +156,12 @@ def _cmd_mpc(config: RunConfig, args) -> int:
     if config.out:
         log.write_csv(config.out)
         print(f"wrote {log.steps} steps to {config.out}")
-    n_bad = int(np.count_nonzero(~log.converged)) if log.steps else 0
+    n_bad = int(np.count_nonzero(~log.converged))
     final = ", ".join(f"{v:.4f}" for v in log.states[-1])
     print(f"{config.system} MPC: {log.steps} steps at {config.frequency:.0f} Hz, "
           f"final state ({final}), mean solve "
-          f"{float(log.solve_s.mean()):.4f}s, unconverged steps: {n_bad}")
+          f"{float(log.solve_s.mean()):.4f}s, mean Newton iterations "
+          f"{float(log.iterations.mean()):.1f}, unconverged steps: {n_bad}")
     if args.plot_data:
         for path in emit_plotdata(log, args.plot_data):
             print(f"plot data: {path}")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pintoc
+from pintoc import bench
 from pintoc.bench import (
     BENCH_HEADER,
     BenchmarkRecord,
@@ -23,6 +24,7 @@ from pintoc.bench import (
     write_benchmark_csv,
 )
 from pintoc.cli import EXIT_CONFIG, EXIT_OK, main, read_config_file
+from pintoc.exceptions import PintocError
 
 FAST = dict(horizons=(8, 12), repetitions=2, total_time=0.8,
             inner_tol=1e-6, max_inner=300)
@@ -100,6 +102,44 @@ def test_mpc_short_run_and_log(tmp_path):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 5
     assert np.isclose(float(rows[1]["t_s"]), 0.02)
+
+
+def test_mpc_carries_barrier_weight_across_steps(monkeypatch):
+    cfg = RunConfig(system="pendulum", solver="barrier", seed=0,
+                    sim_time=0.2, frequency=50.0, mpc_horizon=10,
+                    mpc_start=(0.4, 0.0), inner_tol=1e-6, max_inner=60)
+    failing_step = 4
+    calls = []  # (opts.mu0, report) per step; the report is None where it raised
+    original = bench.barrier_solve
+
+    def recording(problem, initial, opts):
+        if len(calls) == failing_step:
+            calls.append((opts.mu0, None))
+            raise PintocError("made to fail")
+        traj, report = original(problem, initial, opts)
+        calls.append((opts.mu0, report))
+        return traj, report
+
+    monkeypatch.setattr(bench, "barrier_solve", recording)
+    log = run_mpc(cfg)
+    assert len(calls) == log.steps == 10
+    mu0s, reports = zip(*calls)
+    assert mu0s[0] == cfg.mu0
+    assert len(reports[0].rounds) > 1
+    warm_steps = 0
+    for before, mu0, report in zip(reports, mu0s[1:], reports[1:]):
+        if before is not None and before.converged:
+            warm_steps += 1
+            assert mu0 == before.rounds[-1].mu
+            if report is not None:
+                assert len(report.rounds) == 1
+        else:
+            assert mu0 == cfg.mu0
+    assert warm_steps == log.steps - 2  # all but the first and the one after the failure
+    assert len(reports[failing_step + 1].rounds) == len(reports[0].rounds)
+    assert not log.converged[failing_step]
+    assert log.iterations.tolist() == [0 if r is None else r.inner_iterations
+                                       for r in reports]
 
 
 def test_mpc_deterministic_rerun():
@@ -208,6 +248,28 @@ def test_cli_bad_config_value_exit_code(tmp_path, capsys, command, text):
 def test_cli_bad_flag_exit_code(argv):
     # argparse's own exit code 2 would read as an unconverged --strict run
     assert main(argv) == EXIT_CONFIG
+
+
+def test_cli_mpc_run_of_zero_steps_is_a_config_error(capsys):
+    # 0.001 s at 100 Hz rounds to 0 closed-loop steps
+    assert main(["mpc", "--sim-time", "0.001"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert "0 MPC steps" in captured.err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("repetitions", 1.5),
+    ("seed", "3"),
+    ("mpc_horizon", 60.0),
+    ("max_inner", True),
+    ("max_outer", None),
+    ("horizons", (8, 12.0)),
+])
+def test_config_int_fields_reject_other_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{"horizons": (8,), field: value})
 
 
 def test_config_file_unknown_key(tmp_path):
