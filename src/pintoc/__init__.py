@@ -42,11 +42,10 @@ from .newton import (
 from .outer import (
     AdmmAugmentation,
     AdmmOptions,
-    AdmmReport,
-    AdmmState,
     BarrierAugmentation,
     BarrierOptions,
-    BarrierReport,
+    OuterReport,
+    OuterRound,
     admm_solve,
     assert_strictly_feasible,
     barrier_solve,

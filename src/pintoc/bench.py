@@ -24,12 +24,9 @@ import numpy as np
 from .exceptions import PintocError
 from .newton import NewtonOptions, newton_solve
 from .outer import (
-    AdmmAugmentation,
     AdmmOptions,
-    AdmmReport,
     BarrierAugmentation,
     BarrierOptions,
-    BarrierReport,
     admm_solve,
     barrier_solve,
 )
@@ -193,9 +190,7 @@ def draw_initial_controls(problem: ControlProblem, config: RunConfig,
         (horizon, problem.dynamics.d_u))
     if config.solver == "barrier" and isinstance(problem.constraints, BoxConstraint):
         box = problem.constraints
-        hi = np.where(np.isfinite(box.control_upper), box.control_upper, np.inf)
-        lo = np.where(np.isfinite(box.control_lower), box.control_lower, -np.inf)
-        limit = 0.9 * np.minimum(np.abs(hi), np.abs(lo))
+        limit = 0.9 * np.minimum(np.abs(box.control_upper), np.abs(box.control_lower))
         peak = np.max(np.abs(controls), axis=0)
         with np.errstate(invalid="ignore"):
             factor = np.where(np.isfinite(limit) & (peak > limit), limit / peak, 1.0)
@@ -214,11 +209,12 @@ def validate_solution(problem: ControlProblem, traj: Trajectory,
                       config: RunConfig, report) -> bool:
     """Re-check a returned trajectory: dynamics, constraints, optimality.
 
-    Optimality of the final subproblem is re-validated behaviorally: a fresh
-    short Newton run started at the returned trajectory must not be able to
-    reduce the final augmented objective meaningfully.  (Raw gradient or
-    full-step norms are not scale-invariant once a small barrier weight puts
-    the solution close to the constraint boundary.)
+    Optimality is checked against ``report.final``, the penalty the returned
+    trajectory answers to, and behaviorally: a fresh short Newton run started
+    at the returned trajectory must not be able to reduce that augmented
+    objective meaningfully.  (Raw gradient or full-step norms are not
+    scale-invariant once a small barrier weight puts the solution close to
+    the constraint boundary.)
     """
     if first_dynamics_gap(problem.dynamics, traj, 1e-9) is not None:
         return False
@@ -228,15 +224,9 @@ def validate_solution(problem: ControlProblem, traj: Trajectory,
         allowed = 0.0 if config.solver == "barrier" else config.residual_tol
         if violation > allowed:
             return False
-    if config.solver == "barrier":
-        if not isinstance(report, BarrierReport) or not report.rounds:
-            return False
-        aug = BarrierAugmentation(con, report.rounds[-1].mu)
-    else:
-        if not isinstance(report, AdmmReport) or con is None:
-            return False
-        state = report.state
-        aug = AdmmAugmentation(con, config.admm_options().rho, state.z, state.v)
+    aug = report.final
+    if aug is None:
+        return False
     try:
         before = total_cost(problem.cost, aug, traj)
         polish = NewtonOptions(inner_tol=config.inner_tol, max_iters=8)
@@ -409,8 +399,8 @@ def run_mpc(config: RunConfig) -> MpcLog:
             plan = traj.controls
             last_control = plan[0].copy()
             warm = np.vstack([plan[1:], plan[-1:]])  # shift, repeat last
-            if report.converged and isinstance(report, BarrierReport) and report.rounds:
-                options = replace(cold, mu0=report.rounds[-1].mu)
+            if report.converged and isinstance(report.final, BarrierAugmentation):
+                options = replace(cold, mu0=report.final.mu)
         controls[k] = last_control
         state = dyn.f(0, state, last_control)
         states[k + 1] = state

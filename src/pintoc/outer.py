@@ -6,6 +6,9 @@ the next warm start.  The barrier loop shrinks the barrier weight towards
 zero; ADMM alternates the trajectory update with a clamp of the consensus
 variable and a dual ascent step, tracking primal and dual residuals.
 
+Both loops return one :class:`OuterReport`: an :class:`OuterRound` per
+subproblem solve, and the augmentation the returned trajectory answers to.
+
 Under the log-barrier, :meth:`BarrierAugmentation.step_scale` shortens a
 Newton control step that would come near the boundary of the control
 constraints ``h(u) < 0``.  For affine control constraints such as a box this
@@ -27,6 +30,33 @@ from .problem import (
     ControlProblem,
     Trajectory,
 )
+
+
+@dataclass(frozen=True)
+class OuterRound:
+    """One subproblem solve of an outer loop."""
+
+    weight: float             # the round's barrier mu or ADMM rho
+    controls: np.ndarray      # solution controls of this round
+    newton: NewtonReport
+    residuals: tuple[float, float] | None = None  # ADMM (primal, dual) after the update
+
+
+@dataclass(frozen=True)
+class OuterReport:
+    """What :func:`barrier_solve` and :func:`admm_solve` return."""
+
+    rounds: tuple[OuterRound, ...]
+    converged: bool
+    final: AugmentedCost | None  # the penalty the returned trajectory answers to
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def inner_iterations(self) -> int:
+        return sum(r.newton.iterations for r in self.rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -137,34 +167,9 @@ class BarrierOptions:
             raise ValueError("mu_tol must be > 0")
 
 
-@dataclass(frozen=True)
-class BarrierRound:
-    mu: float
-    cost: float               # augmented cost at the round's solution
-    controls: np.ndarray      # solution controls of this round
-    newton: NewtonReport
-
-
-@dataclass(frozen=True)
-class BarrierReport:
-    rounds: tuple[BarrierRound, ...]
-
-    @property
-    def outer_iterations(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def inner_iterations(self) -> int:
-        return sum(r.newton.iterations for r in self.rounds)
-
-    @property
-    def converged(self) -> bool:
-        return all(r.newton.converged for r in self.rounds)
-
-
 def barrier_solve(problem: ControlProblem, initial: Trajectory,
                   opts: BarrierOptions | None = None
-                  ) -> tuple[Trajectory, BarrierReport]:
+                  ) -> tuple[Trajectory, OuterReport]:
     """Primal log-barrier method: solve, shrink mu, repeat until mu <= tol.
 
     Every subproblem is warm-started from the previous solution, so all
@@ -180,13 +185,14 @@ def barrier_solve(problem: ControlProblem, initial: Trajectory,
 
     traj = initial
     mu = opts.mu0
-    rounds: list[BarrierRound] = []
+    aug = None
+    rounds: list[OuterRound] = []
     while mu > opts.mu_tol:
         aug = BarrierAugmentation(problem.constraints, mu)
         traj, report = newton_solve(problem.dynamics, problem.cost, aug, traj, opts.newton)
-        rounds.append(BarrierRound(mu, report.final_cost, traj.controls.copy(), report))
+        rounds.append(OuterRound(mu, traj.controls, report))
         mu *= opts.zeta
-    return traj, BarrierReport(tuple(rounds))
+    return traj, OuterReport(tuple(rounds), all(r.newton.converged for r in rounds), aug)
 
 
 # ---------------------------------------------------------------------------
@@ -237,29 +243,8 @@ class AdmmOptions:
             raise ValueError("max_outer must be >= 1")
 
 
-@dataclass(frozen=True)
-class AdmmState:
-    z: np.ndarray  # (N, d_w) consensus variable, <= 0 after projection
-    v: np.ndarray  # (N, d_w) scaled multipliers
-    primal_residual: float
-    dual_residual: float
-
-
-@dataclass(frozen=True)
-class AdmmReport:
-    outer_iterations: int
-    converged: bool
-    state: AdmmState
-    residual_history: tuple[tuple[float, float], ...]  # (primal, dual) per outer step
-    newton_reports: tuple[NewtonReport, ...]
-
-    @property
-    def inner_iterations(self) -> int:
-        return sum(r.iterations for r in self.newton_reports)
-
-
 def admm_solve(problem: ControlProblem, initial: Trajectory,
-               opts: AdmmOptions | None = None) -> tuple[Trajectory, AdmmReport]:
+               opts: AdmmOptions | None = None) -> tuple[Trajectory, OuterReport]:
     """Operator splitting between the trajectory and a clamped consensus.
 
     Each outer step minimizes the penalty-augmented objective over controls
@@ -277,28 +262,19 @@ def admm_solve(problem: ControlProblem, initial: Trajectory,
     traj = initial
     z = project_box(con.w_batch(traj.states, traj.controls))
     v = np.zeros_like(z)
-    residuals: list[tuple[float, float]] = []
-    reports: list[NewtonReport] = []
+    rounds: list[OuterRound] = []
     converged = False
     for _ in range(opts.max_outer):
         aug = AdmmAugmentation(con, opts.rho, z, v)
         traj, nrep = newton_solve(problem.dynamics, problem.cost, aug, traj, opts.newton)
-        reports.append(nrep)
         w_val = con.w_batch(traj.states, traj.controls)
         z_prev = z
         z = project_box(w_val + v / opts.rho)
         v = v + opts.rho * (w_val - z)
         r_p = float(np.max(np.abs(w_val - z))) if z.size else 0.0
         r_d = float(np.max(np.abs(z - z_prev))) if z.size else 0.0
-        residuals.append((r_p, r_d))
+        rounds.append(OuterRound(opts.rho, traj.controls, nrep, (r_p, r_d)))
         if r_p <= opts.residual_tol and r_d <= opts.residual_tol:
             converged = True
             break
-    state = AdmmState(z, v, residuals[-1][0], residuals[-1][1])
-    return traj, AdmmReport(
-        outer_iterations=len(residuals),
-        converged=converged,
-        state=state,
-        residual_history=tuple(residuals),
-        newton_reports=tuple(reports),
-    )
+    return traj, OuterReport(tuple(rounds), converged, AdmmAugmentation(con, opts.rho, z, v))

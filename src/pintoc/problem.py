@@ -218,7 +218,7 @@ class BoxConstraint(ConstraintModel):
     Bounds ``lb <= u <= ub`` become ``h(u) = [u - ub; lb - u]`` (and likewise
     for states), so the feasible set is ``{h <= 0}`` and the Euclidean
     projection used by ADMM is a componentwise clamp.  Infinite bounds are
-    dropped from the stacking.
+    dropped from the stacking; a NaN bound is rejected.
     """
 
     def __init__(self, d_x: int, d_u: int,
@@ -230,9 +230,9 @@ class BoxConstraint(ConstraintModel):
         self.control_upper = self._bound(control_upper, d_u, np.inf)
         self.state_lower = self._bound(state_lower, d_x, -np.inf)
         self.state_upper = self._bound(state_upper, d_x, np.inf)
-        if np.any(self.control_lower >= self.control_upper) or np.any(
-                self.state_lower >= self.state_upper):
-            raise DimensionError("box bounds must satisfy lower < upper")
+        if not (np.all(self.control_lower < self.control_upper)
+                and np.all(self.state_lower < self.state_upper)):
+            raise DimensionError("box bounds must be lower < upper, and not NaN")
         # index lists of finite one-sided rows, fixed at construction
         self._gu = np.flatnonzero(np.isfinite(self.state_upper))
         self._gl = np.flatnonzero(np.isfinite(self.state_lower))

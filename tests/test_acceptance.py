@@ -159,12 +159,13 @@ def test_criterion_6_admm_termination(system, rho):
     init = rollout(problem.dynamics, swingup_start(system), controls)
     traj, report = admm_solve(problem, init, cfg.admm_options())
     assert report.converged, f"budget exhausted at {report.outer_iterations}"
-    assert report.state.primal_residual <= 1e-2
-    assert report.state.dual_residual <= 1e-2
+    primal, dual = report.rounds[-1].residuals
+    assert primal <= 1e-2
+    assert dual <= 1e-2
     violation = problem.constraints.max_violation(traj)
     assert violation <= 1e-2
-    _passed(6, f"{system} rho={rho}: residuals ({report.state.primal_residual:.2e}, "
-               f"{report.state.dual_residual:.2e}), violation {violation:.2e}")
+    _passed(6, f"{system} rho={rho}: residuals ({primal:.2e}, "
+               f"{dual:.2e}), violation {violation:.2e}")
 
 
 @pytest.mark.parametrize("system", ["pendulum", "cartpole"])
@@ -224,7 +225,7 @@ def test_criterion_9_one_dim_barrier_analytic():
     traj, report = barrier_solve(problem, init, BarrierOptions())
     worst = 0.0
     for rnd in report.rounds:
-        u_star = 0.5 * (1.0 + math.sqrt(1.0 + 2.0 * rnd.mu))
+        u_star = 0.5 * (1.0 + math.sqrt(1.0 + 2.0 * rnd.weight))
         worst = max(worst, abs(rnd.controls[0, 0] - u_star))
     assert worst < 1e-6
     assert abs(traj.controls[0, 0] - 1.0) < 1e-3

@@ -11,16 +11,18 @@ import numpy as np
 import pytest
 
 import pintoc
-from pintoc import bench
+from pintoc import admm_solve, bench, rollout, swingup_start
 from pintoc.bench import (
     BENCH_HEADER,
     BenchmarkRecord,
     MpcLog,
     RunConfig,
+    draw_initial_controls,
     emit_plotdata,
     read_benchmark_csv,
     run_benchmark,
     run_mpc,
+    validate_solution,
     write_benchmark_csv,
 )
 from pintoc.cli import EXIT_CONFIG, EXIT_OK, main, read_config_file
@@ -85,6 +87,21 @@ def test_emit_plotdata_empty_raises(tmp_path):
         emit_plotdata([], tmp_path)
 
 
+def test_validation_checks_the_penalty_the_solve_used():
+    cfg = RunConfig(system="cartpole", solver="admm", seed=0, horizons=(20,),
+                    total_time=2.0)
+    problem = cfg.build_problem(20, cfg.step_size(20))
+    controls = draw_initial_controls(problem, cfg, 20, 0)
+    initial = rollout(problem.dynamics, swingup_start("cartpole"), controls)
+    # rho = 5 needs 219 rounds here, past the default budget of 200
+    options = dataclasses.replace(cfg.admm_options(), rho=5.0, max_outer=400)
+    traj, report = admm_solve(problem, initial, options)
+    assert report.converged
+    assert cfg.admm_options().rho != 5.0
+    assert validate_solution(problem, traj, cfg, report)
+    assert validate_solution(problem, traj, dataclasses.replace(cfg, rho=5.0), report)
+
+
 def test_mpc_short_run_and_log(tmp_path):
     cfg = RunConfig(system="pendulum", solver="barrier", seed=0,
                     sim_time=0.1, frequency=50.0, mpc_horizon=10,
@@ -130,7 +147,7 @@ def test_mpc_carries_barrier_weight_across_steps(monkeypatch):
     for before, mu0, report in zip(reports, mu0s[1:], reports[1:]):
         if before is not None and before.converged:
             warm_steps += 1
-            assert mu0 == before.rounds[-1].mu
+            assert mu0 == before.rounds[-1].weight
             if report is not None:
                 assert len(report.rounds) == 1
         else:

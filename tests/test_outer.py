@@ -110,8 +110,9 @@ def test_barrier_tracks_closed_form_per_round():
     traj, report = barrier_solve(prob, init, BarrierOptions())
     assert report.outer_iterations == 5  # mu: .1, .02, .004, 8e-4, 1.6e-4
     for rnd in report.rounds:
-        u_star = 0.5 * (1.0 + np.sqrt(1.0 + 2.0 * rnd.mu))
+        u_star = 0.5 * (1.0 + np.sqrt(1.0 + 2.0 * rnd.weight))
         assert abs(rnd.controls[0, 0] - u_star) < 1e-6
+        assert rnd.residuals is None
     assert abs(traj.controls[0, 0] - 1.0) < 1e-3
 
 
@@ -134,6 +135,7 @@ def test_barrier_vacuous_loop_returns_initial():
     init = rollout(prob.dynamics, np.zeros(1), np.array([[2.0]]))
     traj, report = barrier_solve(prob, init, BarrierOptions(mu0=1e-5, mu_tol=1e-4))
     assert report.outer_iterations == 0
+    assert report.final is None
     assert np.array_equal(traj.controls, init.controls)
 
 
@@ -232,12 +234,16 @@ def test_admm_pendulum_respects_tolerance(rng):
     cfg = RunConfig(system="pendulum", solver="admm", horizons=(30,))
     controls = draw_initial_controls(prob, cfg, 30, 0)
     init = rollout(prob.dynamics, np.array([np.pi, 0.0]), controls)
-    traj, report = admm_solve(prob, init, AdmmOptions(rho=1.0, max_outer=150))
+    opts = AdmmOptions(rho=1.0, max_outer=150)
+    traj, report = admm_solve(prob, init, opts)
     assert report.converged
-    assert report.state.primal_residual <= 1e-2
-    assert report.state.dual_residual <= 1e-2
+    assert all(rnd.weight == opts.rho and rnd.residuals is not None
+               for rnd in report.rounds)
+    primal, dual = report.rounds[-1].residuals
+    assert primal <= 1e-2
+    assert dual <= 1e-2
     assert prob.constraints.max_violation(traj) <= 1e-2
-    assert np.all(report.state.z <= 0.0)
+    assert np.all(report.final.z <= 0.0)
 
 
 def test_admm_budget_exhaustion_is_reported_not_raised(rng):
