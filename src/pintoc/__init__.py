@@ -67,7 +67,6 @@ from .passes import (
 from .problem import (
     AugmentedCost,
     BoxConstraint,
-    ConstraintModel,
     ControlProblem,
     CostModel,
     DynamicsModel,

@@ -31,14 +31,18 @@ from .outer import (
     barrier_solve,
 )
 from .problem import (
-    BoxConstraint,
     ControlProblem,
     Trajectory,
     first_dynamics_gap,
     rollout,
     total_cost,
 )
-from .systems import SYSTEMS, make_swingup_problem, swingup_start
+from .systems import (
+    DEFAULT_TERMINAL_SCALE,
+    SYSTEMS,
+    make_swingup_problem,
+    swingup_start,
+)
 
 SOLVERS = ("barrier", "admm")
 
@@ -76,7 +80,7 @@ class RunConfig:
     # cost weights (None keeps the per-system defaults)
     state_weights: tuple[float, ...] | None = None
     control_weight: float | None = None
-    terminal_scale: float = 10.0
+    terminal_scale: float = DEFAULT_TERMINAL_SCALE
     # mpc
     mpc_horizon: int = 60
     sim_time: float = 4.0
@@ -188,7 +192,7 @@ def draw_initial_controls(problem: ControlProblem, config: RunConfig,
     rng = np.random.default_rng((config.seed, horizon, rep))
     controls = config.control_scale * rng.standard_normal(
         (horizon, problem.dynamics.d_u))
-    if config.solver == "barrier" and isinstance(problem.constraints, BoxConstraint):
+    if config.solver == "barrier":
         box = problem.constraints
         limit = 0.9 * np.minimum(np.abs(box.control_upper), np.abs(box.control_lower))
         peak = np.max(np.abs(controls), axis=0)
@@ -218,12 +222,9 @@ def validate_solution(problem: ControlProblem, traj: Trajectory,
     """
     if first_dynamics_gap(problem.dynamics, traj, 1e-9) is not None:
         return False
-    con = problem.constraints
-    if con is not None:
-        violation = con.max_violation(traj)
-        allowed = 0.0 if config.solver == "barrier" else config.residual_tol
-        if violation > allowed:
-            return False
+    allowed = 0.0 if config.solver == "barrier" else config.residual_tol
+    if problem.constraints.max_violation(traj) > allowed:
+        return False
     aug = report.final
     if aug is None:
         return False

@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DerivativeCheckError, DimensionError
-from .problem import AugmentedCost, ConstraintModel, CostModel, DynamicsModel
+from .problem import AugmentedCost, BoxConstraint, CostModel, DynamicsModel
 
 DEFAULT_STEP = 1e-6
 DEFAULT_TOL = 1e-5
@@ -110,12 +110,14 @@ def check_derivatives(target, point, tolerance: float = DEFAULT_TOL,
     target needs one row per stage of its horizon.  The evaluators the
     solver runs are checked at all rows in one call: every field of the
     ``derivatives`` of a dynamics model, a stage cost or an augmentation,
-    and the ``*_batch`` evaluators of a constraint model.  First derivatives
-    are compared against central differences of the underlying evaluator
-    (``f_batch``, ``l_batch`` or ``c_batch``); second derivatives against
-    central differences of the analytic first derivatives, so one bad level
-    cannot mask another.  A cost's terminal derivatives are checked at the
-    last row of ``xs``.  Each stage is judged on its own scale.
+    and the constant Jacobians ``gx`` and ``hu`` of a box.  First
+    derivatives are compared against central differences of the underlying
+    evaluator (``f_batch``, ``l_batch``, ``c_batch``, ``g_batch`` or
+    ``h_batch``); second derivatives against central differences of the
+    analytic first derivatives, so one bad level cannot mask another.  A
+    box is affine, so it has no second derivatives to check.  A cost's
+    terminal derivatives are checked at the last row of ``xs``.  Each stage
+    is judged on its own scale.
 
     Returns the full report, or raises :class:`DerivativeCheckError` naming
     the offending derivatives if any comparison exceeds ``tolerance``.
@@ -156,18 +158,13 @@ def check_derivatives(target, point, tolerance: float = DEFAULT_TOL,
                 _compare("terminal_xx", [m.terminal_xx(x_end)],
                          [fd_jacobian(m.terminal_x, x_end, step)], tolerance),
             ]
-    elif isinstance(target, ConstraintModel):
-        m = target
-        if m.n_state:
-            checks += [
-                _compare("gx", m.gx_batch(xs), fd_jacobian(m.g_batch, xs, step), tolerance),
-                _compare("gxx", m.gxx_batch(xs), fd_jacobian(m.gx_batch, xs, step), tolerance),
-            ]
-        if m.n_control:
-            checks += [
-                _compare("hu", m.hu_batch(us), fd_jacobian(m.h_batch, us, step), tolerance),
-                _compare("huu", m.huu_batch(us), fd_jacobian(m.hu_batch, us, step), tolerance),
-            ]
+    elif isinstance(target, BoxConstraint):
+        # affine constraints: constant Jacobians and no Hessians to check
+        for name, jac, value, z in (("gx", target.gx, target.g_batch, xs),
+                                    ("hu", target.hu, target.h_batch, us)):
+            if len(jac):
+                checks.append(_compare(name, np.broadcast_to(jac, (len(z),) + jac.shape),
+                                       fd_jacobian(value, z, step), tolerance))
     else:
         raise TypeError(f"cannot check derivatives of {type(target).__name__}")
 

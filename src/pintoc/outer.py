@@ -11,9 +11,8 @@ subproblem solve, and the augmentation the returned trajectory answers to.
 
 Under the log-barrier, :meth:`BarrierAugmentation.step_scale` shortens a
 Newton control step that would come near the boundary of the control
-constraints ``h(u) < 0``.  For affine control constraints such as a box this
-keeps every iterate strictly feasible, so box crossings cost no rejected
-iteration.
+constraints ``h(u) < 0``.  For the control box this keeps every iterate
+strictly feasible, so box crossings cost no rejected iteration.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .exceptions import InfeasibleError
 from .newton import NewtonOptions, NewtonReport, newton_solve
 from .problem import (
     AugmentedCost,
-    ConstraintModel,
+    BoxConstraint,
     ControlProblem,
     Trajectory,
 )
@@ -75,7 +74,7 @@ class BarrierAugmentation(AugmentedCost):
     vector.
     """
 
-    def __init__(self, constraints: ConstraintModel, mu: float):
+    def __init__(self, constraints: BoxConstraint, mu: float):
         if mu <= 0:
             raise ValueError("barrier parameter mu must be > 0")
         self.constraints = constraints
@@ -92,8 +91,8 @@ class BarrierAugmentation(AugmentedCost):
     def step_scale(self, controls, dus, d, alpha):
         """Fraction in (0, 1] of the control step to take under the barrier.
 
-        With ``dh = hu(u) du`` the linearized change of the control
-        constraints, a full step that goes at most ``TAU_BOUNDARY`` of the
+        With ``dh = hu du`` the change of the control box constraints, which
+        are affine, a full step that goes at most ``TAU_BOUNDARY`` of the
         way to the boundary of ``h + s*dh < 0`` is taken as is.  Otherwise
         the scale ``s`` is capped at the fraction-to-boundary
         ``TAU_BOUNDARY * min(-h / dh)`` and, below that cap, set to a
@@ -105,7 +104,7 @@ class BarrierAugmentation(AugmentedCost):
         """
         con = self.constraints
         h = con.h_batch(controls)
-        dh = np.einsum("tmi,ti->tm", con.hu_batch(controls), dus)
+        dh = dus @ con.hu.T
         rising = dh > 0
         if not np.any(rising):
             return 1.0
@@ -137,7 +136,7 @@ class BarrierAugmentation(AugmentedCost):
         return lo
 
 
-def assert_strictly_feasible(constraints: ConstraintModel, traj: Trajectory) -> None:
+def assert_strictly_feasible(constraints: BoxConstraint, traj: Trajectory) -> None:
     """Raise with a list of violated components unless all w(x, u) < 0."""
     w = constraints.w_batch(traj.states, traj.controls)
     violations = [(int(t), int(c), float(w[t, c])) for t, c in zip(*np.nonzero(w >= 0))]
@@ -178,8 +177,6 @@ def barrier_solve(problem: ControlProblem, initial: Trajectory,
     Raises:
         InfeasibleError: if ``initial`` is not strictly feasible.
     """
-    if problem.constraints is None:
-        raise ValueError("barrier_solve needs a ConstraintModel on the problem")
     opts = opts if opts is not None else BarrierOptions()
     assert_strictly_feasible(problem.constraints, initial)
 
@@ -202,7 +199,7 @@ def barrier_solve(problem: ControlProblem, initial: Trajectory,
 class AdmmAugmentation(AugmentedCost):
     """Consensus penalty ``(rho/2) * ||w(x,u) - z_t + v_t/rho||^2``."""
 
-    def __init__(self, constraints: ConstraintModel, rho: float,
+    def __init__(self, constraints: BoxConstraint, rho: float,
                  z: np.ndarray, v: np.ndarray):
         if rho <= 0:
             raise ValueError("penalty parameter rho must be > 0")
@@ -254,8 +251,6 @@ def admm_solve(problem: ControlProblem, initial: Trajectory,
     dual residual ``z - z_prev`` are within tolerance in infinity norm;
     exceeding the outer budget is reported, not raised.
     """
-    if problem.constraints is None:
-        raise ValueError("admm_solve needs a ConstraintModel on the problem")
     opts = opts if opts is not None else AdmmOptions()
     con = problem.constraints
 

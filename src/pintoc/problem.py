@@ -1,14 +1,14 @@
 """Problem data model: trajectories, model interfaces, and cost evaluation.
 
-A discrete-time control problem is described by three model objects
-(dynamics, cost, constraints) plus an optional cost augmentation (log-barrier
-or consensus penalty) supplied by an outer solver.  Values and derivatives
-are evaluated over all stages at once, row ``t`` being stage ``t``, so
-time-varying problems are expressible: the derivatives of the dynamics,
-of the stage cost and of the augmentation by one ``derivatives`` call each,
-all returning the same record.  Only the dynamics map ``f(t, x, u)`` (for
-the sequential rollout) and the terminal cost take a single point.  Every
-object is immutable after construction.
+A discrete-time control problem is described by two models (dynamics and
+cost) and a box of stage constraints, plus an optional cost augmentation
+(log-barrier or consensus penalty) supplied by an outer solver.  Values and
+derivatives are evaluated over all stages at once, row ``t`` being stage
+``t``, so time-varying problems are expressible: the derivatives of the
+dynamics, of the stage cost and of the augmentation by one ``derivatives``
+call each, all returning the same record.  Only the dynamics map
+``f(t, x, u)`` (for the sequential rollout) and the terminal cost take a
+single point.  Every object is immutable after construction.
 """
 
 from __future__ import annotations
@@ -168,35 +168,68 @@ class CostModel(abc.ABC):
     def terminal_xx(self, x: np.ndarray) -> np.ndarray: ...
 
 
-class ConstraintModel(abc.ABC):
-    """Stage inequality constraints, satisfied when every component is <= 0.
+class BoxConstraint:
+    """Componentwise bounds, the stage inequality constraints of a problem.
 
-    State constraints ``g_t(x)`` and control constraints ``h_t(u)`` are kept
-    separate and batched over stages (row ``t`` is stage ``t``);
-    ``w_batch(xs, us)`` stacks them as ``[g; h]`` in each row.  Per-component
-    Hessians use the component-first layout like :class:`DynamicsModel`.
+    Bounds ``lb <= u <= ub`` become ``h(u) = [u - ub; lb - u]``, and state
+    bounds likewise ``g(x)``, so the feasible set is ``{g <= 0, h <= 0}``
+    and the Euclidean projection used by ADMM is a componentwise clamp.
+    ``w_batch(xs, us)`` stacks them as ``[g; h]`` in each row (row ``t`` is
+    stage ``t``).  Infinite bounds are dropped from the stacking, so a box
+    without finite bounds is the unconstrained problem; a NaN bound is
+    rejected.
+
+    The constraints are affine: their Jacobians are the constant +-1
+    selector matrices ``gx`` ``(n_state, d_x)`` and ``hu``
+    ``(n_control, d_u)``, and their Hessians are zero.
     """
 
-    n_state: int    # number of g components (m_g)
-    n_control: int  # number of h components (m_h)
+    def __init__(self, d_x: int, d_u: int,
+                 control_lower=None, control_upper=None,
+                 state_lower=None, state_upper=None):
+        self.d_x = d_x
+        self.d_u = d_u
+        self.control_lower = self._bound(control_lower, d_u, -np.inf)
+        self.control_upper = self._bound(control_upper, d_u, np.inf)
+        self.state_lower = self._bound(state_lower, d_x, -np.inf)
+        self.state_upper = self._bound(state_upper, d_x, np.inf)
+        if not (np.all(self.control_lower < self.control_upper)
+                and np.all(self.state_lower < self.state_upper)):
+            raise DimensionError("box bounds must be lower < upper, and not NaN")
+        self._g, self.gx = self._one_sided(self.state_lower, self.state_upper)
+        self._h, self.hu = self._one_sided(self.control_lower, self.control_upper)
+        self.n_state = len(self.gx)    # number of g components (m_g)
+        self.n_control = len(self.hu)  # number of h components (m_h)
 
-    @abc.abstractmethod
-    def g_batch(self, xs: np.ndarray) -> np.ndarray: ...
+    @staticmethod
+    def _bound(value, dim: int, default: float) -> np.ndarray:
+        if value is None:
+            return _frozen(np.full(dim, default))
+        arr = np.broadcast_to(np.asarray(value, dtype=float), (dim,))
+        return _frozen(arr)
 
-    @abc.abstractmethod
-    def gx_batch(self, xs: np.ndarray) -> np.ndarray: ...
+    @staticmethod
+    def _one_sided(lower: np.ndarray, upper: np.ndarray):
+        """Rows ``[z - upper; lower - z]`` of the finite bounds, as the index
+        and bound of each, and their constant Jacobian."""
+        up = np.flatnonzero(np.isfinite(upper))
+        lo = np.flatnonzero(np.isfinite(lower))
+        jac = np.zeros((len(up) + len(lo), len(upper)))
+        jac[np.arange(len(up)), up] = 1.0
+        jac[np.arange(len(up), len(jac)), lo] = -1.0
+        return (up, upper[up], lo, lower[lo]), _frozen(jac)
 
-    @abc.abstractmethod
-    def gxx_batch(self, xs: np.ndarray) -> np.ndarray: ...
+    @staticmethod
+    def _stack(z, rows) -> np.ndarray:
+        up, upper, lo, lower = rows
+        z = np.asarray(z, dtype=float)
+        return np.concatenate([z[:, up] - upper, lower - z[:, lo]], axis=1)
 
-    @abc.abstractmethod
-    def h_batch(self, us: np.ndarray) -> np.ndarray: ...
+    def g_batch(self, xs: np.ndarray) -> np.ndarray:
+        return self._stack(xs, self._g)
 
-    @abc.abstractmethod
-    def hu_batch(self, us: np.ndarray) -> np.ndarray: ...
-
-    @abc.abstractmethod
-    def huu_batch(self, us: np.ndarray) -> np.ndarray: ...
+    def h_batch(self, us: np.ndarray) -> np.ndarray:
+        return self._stack(us, self._h)
 
     def w_batch(self, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
         return np.concatenate([self.g_batch(xs[:len(us)]), self.h_batch(us)], axis=1)
@@ -212,91 +245,17 @@ class ConstraintModel(abc.ABC):
         return float(self.w_batch(traj.states[:-1], traj.controls).max())
 
 
-class BoxConstraint(ConstraintModel):
-    """Componentwise bounds encoded as one-sided constraints.
-
-    Bounds ``lb <= u <= ub`` become ``h(u) = [u - ub; lb - u]`` (and likewise
-    for states), so the feasible set is ``{h <= 0}`` and the Euclidean
-    projection used by ADMM is a componentwise clamp.  Infinite bounds are
-    dropped from the stacking; a NaN bound is rejected.
-    """
-
-    def __init__(self, d_x: int, d_u: int,
-                 control_lower=None, control_upper=None,
-                 state_lower=None, state_upper=None):
-        self.d_x = d_x
-        self.d_u = d_u
-        self.control_lower = self._bound(control_lower, d_u, -np.inf)
-        self.control_upper = self._bound(control_upper, d_u, np.inf)
-        self.state_lower = self._bound(state_lower, d_x, -np.inf)
-        self.state_upper = self._bound(state_upper, d_x, np.inf)
-        if not (np.all(self.control_lower < self.control_upper)
-                and np.all(self.state_lower < self.state_upper)):
-            raise DimensionError("box bounds must be lower < upper, and not NaN")
-        # index lists of finite one-sided rows, fixed at construction
-        self._gu = np.flatnonzero(np.isfinite(self.state_upper))
-        self._gl = np.flatnonzero(np.isfinite(self.state_lower))
-        self._hu = np.flatnonzero(np.isfinite(self.control_upper))
-        self._hl = np.flatnonzero(np.isfinite(self.control_lower))
-        self.n_state = len(self._gu) + len(self._gl)
-        self.n_control = len(self._hu) + len(self._hl)
-        gx = np.zeros((self.n_state, d_x))
-        for r, i in enumerate(self._gu):
-            gx[r, i] = 1.0
-        for r, i in enumerate(self._gl):
-            gx[len(self._gu) + r, i] = -1.0
-        hu = np.zeros((self.n_control, d_u))
-        for r, i in enumerate(self._hu):
-            hu[r, i] = 1.0
-        for r, i in enumerate(self._hl):
-            hu[len(self._hu) + r, i] = -1.0
-        self._gx = _frozen(gx)
-        self._hu_jac = _frozen(hu)
-
-    @staticmethod
-    def _bound(value, dim: int, default: float) -> np.ndarray:
-        if value is None:
-            return _frozen(np.full(dim, default))
-        arr = np.broadcast_to(np.asarray(value, dtype=float), (dim,))
-        return _frozen(arr)
-
-    def g_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.concatenate([
-            xs[:, self._gu] - self.state_upper[self._gu],
-            self.state_lower[self._gl] - xs[:, self._gl],
-        ], axis=1)
-
-    def gx_batch(self, xs):
-        return np.broadcast_to(self._gx, (len(xs),) + self._gx.shape)
-
-    def gxx_batch(self, xs):
-        return np.zeros((len(xs), self.n_state, self.d_x, self.d_x))
-
-    def h_batch(self, us):
-        us = np.asarray(us, dtype=float)
-        return np.concatenate([
-            us[:, self._hu] - self.control_upper[self._hu],
-            self.control_lower[self._hl] - us[:, self._hl],
-        ], axis=1)
-
-    def hu_batch(self, us):
-        return np.broadcast_to(self._hu_jac, (len(us),) + self._hu_jac.shape)
-
-    def huu_batch(self, us):
-        return np.zeros((len(us), self.n_control, self.d_u, self.d_u))
-
-
 class AugmentedCost(abc.ABC):
     """Extra stage cost ``c_t(x, u) = sum_i phi(w_i)`` added by an outer solver.
 
     ``w = [g(x); h(u)]`` are the stacked constraint values of the stage.  A
     subclass supplies only ``penalty`` (``phi``, ``phi'`` and ``phi''``
     entrywise); the derivatives, batched over stages like those of
-    :class:`CostModel`, follow by the chain rule written once here::
+    :class:`CostModel`, follow by the chain rule written once here, with no
+    curvature term of the constraints since the box is affine::
 
-        cx  = gx^T phi'(g)        cxx = gx^T diag(phi''(g)) gx + sum_i phi'(g_i) gxx_i
-        cu  = hu^T phi'(h)        cuu = hu^T diag(phi''(h)) hu + sum_i phi'(h_i) huu_i
+        cx  = gx^T phi'(g)        cxx = gx^T diag(phi''(g)) gx
+        cu  = hu^T phi'(h)        cuu = hu^T diag(phi''(h)) hu
         cxu = 0
 
     :meth:`derivatives` returns all of them as one :class:`StageDerivatives`,
@@ -308,7 +267,7 @@ class AugmentedCost(abc.ABC):
     space shorten a Newton step before its rollout.
     """
 
-    constraints: ConstraintModel
+    constraints: BoxConstraint
 
     @abc.abstractmethod
     def penalty(self, w: np.ndarray, cols: slice) -> tuple[np.ndarray, ...]:
@@ -316,32 +275,29 @@ class AugmentedCost(abc.ABC):
         the columns ``cols`` of the stacked ``[g; h]`` (one row per stage)."""
 
     def _parts(self, xs, us):
-        """Input, columns of ``[g; h]`` and evaluators of the state part, then
-        of the control part, so an infeasible ``g`` is reported before ``h``."""
+        """Input, columns of ``[g; h]``, evaluator and Jacobian of the state
+        part, then of the control part, so an infeasible ``g`` is reported
+        before ``h``."""
         con = self.constraints
-        return ((xs, slice(0, con.n_state), (con.g_batch, con.gx_batch, con.gxx_batch)),
-                (us, slice(con.n_state, con.n_total),
-                 (con.h_batch, con.hu_batch, con.huu_batch)))
+        return ((xs, slice(0, con.n_state), con.g_batch, con.gx),
+                (us, slice(con.n_state, con.n_total), con.h_batch, con.hu))
 
     def c_batch(self, xs, us):
         total = np.zeros(len(us))
-        for z, cols, (value, _, _) in self._parts(xs, us):
+        for z, cols, value, _ in self._parts(xs, us):
             if cols.stop > cols.start:
                 total += np.sum(self.penalty(value(z), cols)[0], axis=1)
         return total
 
     def derivatives(self, xs: np.ndarray, us: np.ndarray) -> StageDerivatives:
         terms = []
-        for z, cols, (value, jac, hess) in self._parts(xs, us):
+        for z, cols, value, J in self._parts(xs, us):
             n, d = z.shape
             if cols.stop == cols.start:
                 terms.append((np.zeros((n, d)), np.zeros((n, d, d))))
                 continue
             _, d1, d2 = self.penalty(value(z), cols)
-            J = jac(z)
-            terms.append((np.einsum("tmi,tm->ti", J, d1),
-                          np.einsum("tmi,tmj->tij", J * d2[:, :, None], J)
-                          + np.einsum("tm,tmij->tij", d1, hess(z))))
+            terms.append((d1 @ J, np.einsum("mi,tm,mj->tij", J, d2, J)))
         (cx, cxx), (cu, cuu) = terms
         # g depends on x only and h on u only, so the cross term vanishes
         cxu = np.broadcast_to(0.0, (len(us), xs.shape[1], us.shape[1]))
@@ -357,7 +313,7 @@ class AugmentedCost(abc.ABC):
 class ZeroAugmentation(AugmentedCost):
     """No augmentation; reduces the augmented objective to the plain cost."""
 
-    constraints = BoxConstraint(0, 0)  # no bounds: every evaluator returns zeros
+    constraints = BoxConstraint(0, 0)  # no bounds: no penalty term, zero derivatives
 
     def penalty(self, w, cols):
         return (np.zeros_like(w),) * 3
@@ -365,11 +321,14 @@ class ZeroAugmentation(AugmentedCost):
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Bundle of the models describing one constrained control problem."""
+    """Bundle of the models describing one constrained control problem.
+
+    An unbounded ``BoxConstraint(d_x, d_u)`` is the unconstrained problem.
+    """
 
     dynamics: DynamicsModel
     cost: CostModel
-    constraints: ConstraintModel | None = None
+    constraints: BoxConstraint
 
     @property
     def horizon(self) -> int:

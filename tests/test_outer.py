@@ -130,6 +130,26 @@ def test_barrier_far_bounds_match_unconstrained(rng):
     assert np.abs(con_traj.controls - free_traj.controls).max() < 1e-3
 
 
+def test_unbounded_box_is_the_unconstrained_problem(rng):
+    """A box without finite bounds is the one form of "no constraints":
+    both outer loops return the plain Newton solution bit for bit."""
+    n = 40
+    prob = make_swingup_problem("pendulum", n, 0.05)
+    free = ControlProblem(prob.dynamics, prob.cost, BoxConstraint(2, 1))
+    assert free.constraints.n_total == 0
+    init = rollout(prob.dynamics, np.array([np.pi, 0.0]), 0.3 * rng.standard_normal((n, 1)))
+    plain, newton = newton_solve(prob.dynamics, prob.cost, None, init)
+    barrier, b_report = barrier_solve(free, init)
+    admm, a_report = admm_solve(free, init)
+    assert newton.converged and b_report.converged and a_report.converged
+    # the first barrier round is the plain solve; later ones stop at once
+    iterations = [r.newton.iterations for r in b_report.rounds]
+    assert iterations == [newton.iterations] + [1] * (len(iterations) - 1)
+    assert a_report.outer_iterations == 1
+    assert np.array_equal(barrier.controls, plain.controls)
+    assert np.array_equal(admm.controls, plain.controls)
+
+
 def test_barrier_vacuous_loop_returns_initial():
     prob = one_dim_problem()
     init = rollout(prob.dynamics, np.zeros(1), np.array([[2.0]]))

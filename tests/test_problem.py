@@ -147,7 +147,14 @@ def test_box_constraint_stacking():
     assert box.n_state == 0 and box.n_control == 2
     h = box.h_batch(np.array([[2.0]]))[0]
     assert np.allclose(h, [-3.0, -7.0])  # [u - ub, lb - u]
-    assert np.allclose(box.hu_batch(np.array([[2.0]]))[0], [[1.0], [-1.0]])
+    assert np.array_equal(box.hu, [[1.0], [-1.0]])
+    assert box.gx.shape == (0, 2)
+    states = BoxConstraint(2, 1, state_lower=(-1.0, -np.inf), state_upper=(2.0, 3.0))
+    assert states.n_state == 3 and states.n_control == 0
+    g = states.g_batch(np.array([[0.5, 1.0]]))[0]
+    assert np.allclose(g, [-1.5, -2.0, -1.5])  # [x - ub, lb - x]
+    assert np.array_equal(states.gx, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    assert states.hu.shape == (0, 1)
 
 
 def test_box_one_sided_bounds():
