@@ -18,7 +18,7 @@ from .bench import (
     run_mpc,
     write_benchmark_csv,
 )
-from .derivcheck import DerivativeReport, check_derivatives, fd_hessian, fd_jacobian
+from .derivcheck import DerivativeReport, check_derivatives, fd_jacobian
 from .exceptions import (
     ConditioningError,
     DefinitenessError,

@@ -95,6 +95,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if hint == tuple[int, ...] and not all(map(_is_int, value)):
                 raise ValueError(f"{name} must be integers, got {value!r}")
+            if (hint in (float, float | None, tuple[float, ...] | None)
+                    and value is not None and not np.all(np.isfinite(value))):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.system not in SYSTEMS:
             raise ValueError(f"system must be one of {SYSTEMS}")
         if self.solver not in SOLVERS:
@@ -151,7 +154,7 @@ class RunConfig:
 
 
 # the declared type of every RunConfig field, which config values and flags
-# are read as and which RunConfig checks its integer fields against
+# are read as and which RunConfig checks its integer and float fields against
 FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 

@@ -8,7 +8,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DerivativeCheckError, DimensionError
-from .problem import AugmentedCost, BoxConstraint, CostModel, DynamicsModel
+from .problem import (AugmentedCost, BoxConstraint, CostModel, DynamicsModel,
+                      StageDerivatives)
 
 DEFAULT_STEP = 1e-6
 DEFAULT_TOL = 1e-5
@@ -37,30 +38,16 @@ def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return out
 
 
-def fd_hessian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-               step: float = 1e-4) -> np.ndarray:
-    """Second-order central differences of ``fn``; last two axes index the
-    last axis of ``x``, whose rows are independent points as in
-    :func:`fd_jacobian`."""
-    x = np.asarray(x, dtype=float)
-    base = np.asarray(fn(x), dtype=float)
-    n = x.shape[-1]
-    out = np.empty(base.shape + (n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            ei = np.zeros_like(x)
-            ej = np.zeros_like(x)
-            ei[..., i] = step
-            ej[..., j] = step
-            val = (
-                np.asarray(fn(x + ei + ej), dtype=float)
-                - np.asarray(fn(x + ei - ej), dtype=float)
-                - np.asarray(fn(x - ei + ej), dtype=float)
-                + np.asarray(fn(x - ei - ej), dtype=float)
-            ) / (4.0 * step * step)
-            out[..., i, j] = val
-            out[..., j, i] = val
-    return out
+def fd_stage_derivatives(value: Callable, grad_x: Callable, grad_u: Callable,
+                         xs: np.ndarray, us: np.ndarray, step: float) -> StageDerivatives:
+    """Every field of :class:`StageDerivatives` by central differences at the
+    stacked ``(xs, us)``: the first derivatives of the batched ``value(xs, us)``
+    (a stage cost, or the dynamics with the output component second), and the
+    second derivatives of the batched gradients ``grad_x`` and ``grad_u``."""
+    in_x = lambda fn: fd_jacobian(lambda xx: fn(xx, us), xs, step)
+    in_u = lambda fn: fd_jacobian(lambda uu: fn(xs, uu), us, step)
+    return StageDerivatives(x=in_x(value), u=in_u(value), xx=in_x(grad_x),
+                            uu=in_u(grad_u), xu=in_u(grad_x))
 
 
 @dataclass(frozen=True)
@@ -110,14 +97,19 @@ def check_derivatives(target, point, tolerance: float = DEFAULT_TOL,
     target needs one row per stage of its horizon.  The evaluators the
     solver runs are checked at all rows in one call: every field of the
     ``derivatives`` of a dynamics model, a stage cost or an augmentation,
-    and the constant Jacobians ``gx`` and ``hu`` of a box.  First
-    derivatives are compared against central differences of the underlying
-    evaluator (``f_batch``, ``l_batch``, ``c_batch``, ``g_batch`` or
-    ``h_batch``); second derivatives against central differences of the
-    analytic first derivatives, so one bad level cannot mask another.  A
-    box is affine, so it has no second derivatives to check.  A cost's
-    terminal derivatives are checked at the last row of ``xs``.  Each stage
-    is judged on its own scale.
+    and the constant Jacobians ``gx`` and ``hu`` of a box.
+
+    The reference record is :func:`fd_stage_derivatives`, the rule the
+    finite-difference models build theirs with.  Its first derivatives
+    difference the underlying evaluator (``f_batch``, ``l_batch`` or
+    ``c_batch``); its second derivatives difference the model's own
+    analytic first derivatives, so one bad level cannot mask another.  The
+    checks are named by the function and the field: ``fx`` ... ``fxu`` for
+    dynamics, ``lx`` ... ``lxu`` for a stage cost, ``cx`` ... ``cxu`` for an
+    augmentation.  A box is affine: ``gx`` and ``hu`` are compared against
+    differences of ``g_batch`` and ``h_batch``, with no second derivatives
+    to check.  A cost's terminal derivatives are checked at the last row of
+    ``xs``.  Each stage is judged on its own scale.
 
     Returns the full report, or raises :class:`DerivativeCheckError` naming
     the offending derivatives if any comparison exceeds ``tolerance``.
@@ -128,28 +120,16 @@ def check_derivatives(target, point, tolerance: float = DEFAULT_TOL,
             f"need stacked (n, d_x) states and (n, d_u) controls with n >= 1, "
             f"got shapes {xs.shape} and {us.shape}")
     checks: list[DerivativeCheck] = []
-
-    def jac_x(fn):
-        return fd_jacobian(lambda xx: fn(xx, us), xs, step)
-
-    def jac_u(fn):
-        return fd_jacobian(lambda uu: fn(xs, uu), us, step)
-
     if isinstance(target, (DynamicsModel, CostModel, AugmentedCost)):
         m = target
         # the dynamics f, the stage cost l of a cost model, or the augmentation c
         name, value = (("f", m.f_batch) if isinstance(m, DynamicsModel) else
                        ("l", m.l_batch) if isinstance(m, CostModel) else ("c", m.c_batch))
         der = m.derivatives(xs, us)
-        grad_x = lambda xx, uu: m.derivatives(xx, uu).x
-        grad_u = lambda xx, uu: m.derivatives(xx, uu).u
-        checks += [
-            _compare(name + "x", der.x, jac_x(value), tolerance),
-            _compare(name + "u", der.u, jac_u(value), tolerance),
-            _compare(name + "xx", der.xx, jac_x(grad_x), tolerance),
-            _compare(name + "uu", der.uu, jac_u(grad_u), tolerance),
-            _compare(name + "xu", der.xu, jac_u(grad_x), tolerance),
-        ]
+        fd = fd_stage_derivatives(value, lambda xx, uu: m.derivatives(xx, uu).x,
+                                  lambda xx, uu: m.derivatives(xx, uu).u, xs, us, step)
+        checks += [_compare(name + field, getattr(der, field), getattr(fd, field), tolerance)
+                   for field in StageDerivatives._fields]
         if isinstance(m, CostModel):
             x_end = xs[-1]
             checks += [

@@ -58,10 +58,10 @@ class NewtonOptions:
     max_iters: int = 100
 
     def __post_init__(self):
-        if self.alpha0 < 0:
-            raise ValueError("alpha0 must be >= 0")
-        if self.inner_tol <= 0:
-            raise ValueError("inner_tol must be > 0")
+        if not 0 <= self.alpha0 < math.inf:
+            raise ValueError("alpha0 must be >= 0 and finite")
+        if not 0 < self.inner_tol < math.inf:
+            raise ValueError("inner_tol must be > 0 and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

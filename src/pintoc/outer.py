@@ -75,7 +75,7 @@ class BarrierAugmentation(AugmentedCost):
     """
 
     def __init__(self, constraints: BoxConstraint, mu: float):
-        if mu <= 0:
+        if not mu > 0:
             raise ValueError("barrier parameter mu must be > 0")
         self.constraints = constraints
         self.mu = float(mu)
@@ -158,12 +158,12 @@ class BarrierOptions:
     newton: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self):
-        if self.mu0 <= 0:
-            raise ValueError("mu0 must be > 0")
+        if not 0 < self.mu0 < np.inf:
+            raise ValueError("mu0 must be > 0 and finite")
         if not 0 < self.zeta < 1:
             raise ValueError("zeta must lie in (0, 1)")
-        if self.mu_tol <= 0:
-            raise ValueError("mu_tol must be > 0")
+        if not 0 < self.mu_tol < np.inf:
+            raise ValueError("mu_tol must be > 0 and finite")
 
 
 def barrier_solve(problem: ControlProblem, initial: Trajectory,
@@ -201,7 +201,7 @@ class AdmmAugmentation(AugmentedCost):
 
     def __init__(self, constraints: BoxConstraint, rho: float,
                  z: np.ndarray, v: np.ndarray):
-        if rho <= 0:
+        if not rho > 0:
             raise ValueError("penalty parameter rho must be > 0")
         self.constraints = constraints
         self.rho = float(rho)
@@ -232,10 +232,10 @@ class AdmmOptions:
     newton: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be > 0")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be > 0")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be > 0 and finite")
+        if not 0 < self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be > 0 and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
 

@@ -189,10 +189,10 @@ class BoxConstraint:
                  state_lower=None, state_upper=None):
         self.d_x = d_x
         self.d_u = d_u
-        self.control_lower = self._bound(control_lower, d_u, -np.inf)
-        self.control_upper = self._bound(control_upper, d_u, np.inf)
-        self.state_lower = self._bound(state_lower, d_x, -np.inf)
-        self.state_upper = self._bound(state_upper, d_x, np.inf)
+        self.control_lower = self._bound("control_lower", control_lower, d_u, -np.inf)
+        self.control_upper = self._bound("control_upper", control_upper, d_u, np.inf)
+        self.state_lower = self._bound("state_lower", state_lower, d_x, -np.inf)
+        self.state_upper = self._bound("state_upper", state_upper, d_x, np.inf)
         if not (np.all(self.control_lower < self.control_upper)
                 and np.all(self.state_lower < self.state_upper)):
             raise DimensionError("box bounds must be lower < upper, and not NaN")
@@ -202,11 +202,14 @@ class BoxConstraint:
         self.n_control = len(self.hu)  # number of h components (m_h)
 
     @staticmethod
-    def _bound(value, dim: int, default: float) -> np.ndarray:
+    def _bound(name: str, value, dim: int, default: float) -> np.ndarray:
         if value is None:
             return _frozen(np.full(dim, default))
-        arr = np.broadcast_to(np.asarray(value, dtype=float), (dim,))
-        return _frozen(arr)
+        arr = np.asarray(value, dtype=float)
+        if arr.ndim > 1 or arr.size not in (1, dim):
+            raise DimensionError(f"{name} needs {dim} entries or one for all, "
+                                 f"got shape {arr.shape}")
+        return _frozen(np.broadcast_to(arr, (dim,)))
 
     @staticmethod
     def _one_sided(lower: np.ndarray, upper: np.ndarray):

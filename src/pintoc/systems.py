@@ -255,8 +255,8 @@ class PendulumParams:
 
     def __post_init__(self):
         for name in ("gravity", "length", "mass", "damping", "dt", "torque_limit"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 class PendulumDynamics(JetDynamics):
@@ -297,8 +297,8 @@ class CartPoleParams:
     def __post_init__(self):
         for name in ("gravity", "pole_length", "cart_mass", "pole_mass", "dt",
                      "force_limit"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 class CartPoleDynamics(JetDynamics):

@@ -247,6 +247,11 @@ def test_config_file_reads_every_field_back(tmp_path):
     # values of the right type out of their range
     ("bench", "horizons = 8\nmu0 = -1\n"),
     ("mpc", "frequency = 0\n"),
+    # values that are not finite
+    ("mpc", "frequency = inf\n"),
+    ("mpc", "sim_time = inf\n"),
+    ("bench", "horizons = 8\ntotal_time = nan\n"),
+    ("bench", "horizons = 8\ndt = inf\n"),
 ])
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, command, text):
     path = tmp_path / "bad.cfg"
@@ -261,6 +266,7 @@ def test_cli_bad_config_value_exit_code(tmp_path, capsys, command, text):
     ["bench", "--horizons", "8,x"],
     ["mpc", "--system", "helicopter"],
     ["bench", "--no-such-flag"],
+    ["mpc", "--frequency", "inf"],
 ])
 def test_cli_bad_flag_exit_code(argv):
     # argparse's own exit code 2 would read as an unconverged --strict run
@@ -286,6 +292,21 @@ def test_cli_mpc_run_of_zero_steps_is_a_config_error(capsys):
 ])
 def test_config_int_fields_reject_other_types(field, value):
     with pytest.raises(ValueError, match=field):
+        RunConfig(**{"horizons": (8,), field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sim_time", np.inf),
+    ("frequency", np.inf),
+    ("total_time", np.nan),
+    ("dt", np.inf),
+    ("mu_tol", np.nan),
+    ("rho", np.nan),
+    ("control_weight", np.inf),
+    ("mpc_start", (np.pi, np.nan)),
+])
+def test_config_float_fields_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
         RunConfig(**{"horizons": (8,), field: value})
 
 

@@ -123,23 +123,27 @@ def test_constraint_model_check():
 
 
 def test_fd_fallback_models_agree_with_analytic(rng):
-    analytic = PendulumDynamics(horizon=3)
-    fd = FiniteDiffDynamics(lambda t, x, u: analytic.f(t, x, u),
-                            horizon=3, d_x=2, d_u=1)
-    xs, us = rng.normal(size=(1, 2)), rng.normal(size=(1, 1))
-    assert np.allclose(fd.fx_batch(xs, us), analytic.fx_batch(xs, us), atol=1e-6)
-    assert np.allclose(fd.fu_batch(xs, us), analytic.fu_batch(xs, us), atol=1e-6)
-    assert np.allclose(fd.fxx_batch(xs, us), analytic.fxx_batch(xs, us), atol=1e-5)
-    assert np.allclose(fd.fxu_batch(xs, us), analytic.fxu_batch(xs, us), atol=1e-5)
-
-    cost = QuadraticCost(np.eye(2), np.eye(1), 2 * np.eye(2))
-    fd_cost = FiniteDiffCost(lambda t, x, u: cost.l_batch(x[None], u[None])[0],
-                             lambda x: cost.terminal(x))
-    fd_der, der = fd_cost.derivatives(xs, us), cost.derivatives(xs, us)
-    assert np.allclose(fd_der.x, der.x, atol=1e-6)
-    assert np.allclose(fd_der.xx, der.xx, atol=1e-5)
-    assert np.allclose(fd_der.xu, der.xu, atol=1e-5)
-    assert np.allclose(fd_cost.terminal_xx(xs[0]), cost.terminal_xx(xs[0]), atol=1e-5)
+    # every field at every one of 5 stages: first derivatives to 1e-6,
+    # second derivatives to 1e-5
+    for analytic, cost in ((PendulumDynamics(horizon=5),
+                            QuadraticCost(np.eye(2), np.eye(1), 2 * np.eye(2))),
+                           (CartPoleDynamics(horizon=5),
+                            QuadraticCost(np.diag([10.0, 10.0, 1.0, 1.0]), np.eye(1),
+                                          np.diag([100.0, 100.0, 10.0, 10.0])))):
+        d_x = analytic.d_x
+        xs, us = rng.normal(size=(5, d_x)), rng.normal(size=(5, 1))
+        fd = FiniteDiffDynamics(lambda t, x, u: analytic.f(t, x, u),
+                                horizon=5, d_x=d_x, d_u=1)
+        fd_cost = FiniteDiffCost(lambda t, x, u: cost.l_batch(x[None], u[None])[0],
+                                 lambda x: cost.terminal(x))
+        for model, exact in ((fd, analytic), (fd_cost, cost)):
+            fd_der, der = model.derivatives(xs, us), exact.derivatives(xs, us)
+            for field in StageDerivatives._fields:
+                atol = 1e-6 if len(field) == 1 else 1e-5
+                assert np.allclose(getattr(fd_der, field), getattr(der, field), atol=atol), field
+        for x in xs:
+            assert np.allclose(fd_cost.terminal_x(x), cost.terminal_x(x), atol=1e-6)
+            assert np.allclose(fd_cost.terminal_xx(x), cost.terminal_xx(x), atol=1e-5)
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():

@@ -67,10 +67,10 @@ def test_gain_ratio_basic():
 
 
 def test_newton_options_validation():
-    with pytest.raises(ValueError):
-        NewtonOptions(alpha0=-1.0)
-    with pytest.raises(ValueError):
-        NewtonOptions(max_iters=0)
+    for options in (dict(alpha0=-1.0), dict(max_iters=0), dict(alpha0=math.nan),
+                    dict(alpha0=math.inf), dict(inner_tol=math.nan), dict(inner_tol=math.inf)):
+        with pytest.raises(ValueError):
+            NewtonOptions(**options)
 
 
 def test_lq_converges_in_two_iterations(rng):

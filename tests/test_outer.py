@@ -284,3 +284,10 @@ def test_options_validation():
         AdmmOptions(rho=0.0)
     with pytest.raises(ValueError):
         AdmmOptions(residual_tol=-1.0)
+    for value in (np.nan, np.inf):
+        for options in (dict(mu0=value), dict(mu_tol=value)):
+            with pytest.raises(ValueError):
+                BarrierOptions(**options)
+        for options in (dict(rho=value), dict(residual_tol=value)):
+            with pytest.raises(ValueError):
+                AdmmOptions(**options)

@@ -165,7 +165,8 @@ def test_box_one_sided_bounds():
 
 @pytest.mark.parametrize("bounds", [dict(control_lower=1.0, control_upper=1.0),
                                     dict(control_lower=-1.0, control_upper=np.nan),
-                                    dict(state_lower=(np.nan, 0.0))])
+                                    dict(state_lower=(np.nan, 0.0)),
+                                    dict(state_lower=(1.0, 2.0, 3.0))])
 def test_box_rejects_empty_or_nan_bounds(bounds):
     with pytest.raises(DimensionError):
         BoxConstraint(2, 1, **bounds)

@@ -167,10 +167,11 @@ def test_swingup_conventions():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        PendulumParams(dt=-0.1)
-    with pytest.raises(ValueError):
-        CartPoleParams(pole_mass=0.0)
+    for cls, params in ((PendulumParams, dict(dt=-0.1)), (CartPoleParams, dict(pole_mass=0.0)),
+                        (PendulumParams, dict(dt=np.nan)), (PendulumParams, dict(damping=np.inf)),
+                        (CartPoleParams, dict(dt=np.nan)), (CartPoleParams, dict(force_limit=np.inf))):
+        with pytest.raises(ValueError):
+            cls(**params)
 
 
 def test_cost_model_derivatives(rng):
