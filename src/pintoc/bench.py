@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import PintocError
-from .newton import NewtonOptions, newton_solve
+from .newton import ALPHA_MIN, NewtonOptions, newton_solve
 from .outer import (
     AdmmOptions,
     BarrierAugmentation,
@@ -365,10 +365,13 @@ def run_mpc(config: RunConfig) -> MpcLog:
     Each step solves the fixed-horizon problem from the current plant state,
     applies the first control, and advances the plant by one model step.
     The warm start of the next step is the plan shifted by one stage and,
-    under the barrier, the last barrier weight of a converged solve: the
-    next solve then runs one barrier round at that weight instead of all
-    rounds from ``mu0``.  A failed solve is logged, the loop continues with
-    the last applied control, and the next step starts cold from ``mu0``.
+    after a converged barrier solve, its last barrier weight and the
+    smallest regularization weight ``ALPHA_MIN``: the next solve then runs
+    one barrier round at that weight, starting its Newton steps next to
+    the optimum it already holds instead of walking alpha down from
+    ``alpha0``.  A failed solve is logged, the loop continues with the last
+    applied control, and the next step starts cold from ``mu0`` and
+    ``alpha0``.
     """
     config = mpc_config(config)
     dt = 1.0 / config.frequency
@@ -404,7 +407,8 @@ def run_mpc(config: RunConfig) -> MpcLog:
             last_control = plan[0].copy()
             warm = np.vstack([plan[1:], plan[-1:]])  # shift, repeat last
             if report.converged and isinstance(report.final, BarrierAugmentation):
-                options = replace(cold, mu0=report.final.mu)
+                options = replace(cold, mu0=report.final.mu,
+                                  newton=replace(cold.newton, alpha0=ALPHA_MIN))
         controls[k] = last_control
         state = dyn.f(0, state, last_control)
         states[k + 1] = state

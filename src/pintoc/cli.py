@@ -157,11 +157,16 @@ def _cmd_mpc(config: RunConfig, args) -> int:
         log.write_csv(config.out)
         print(f"wrote {log.steps} steps to {config.out}")
     n_bad = int(np.count_nonzero(~log.converged))
+    n_late = int(np.count_nonzero(log.solve_s > log.dt))
+    step_ms = 1e3 * log.solve_s
     final = ", ".join(f"{v:.4f}" for v in log.states[-1])
     print(f"{config.system} MPC: {log.steps} steps at {config.frequency:.0f} Hz, "
           f"final state ({final}), mean solve "
           f"{float(log.solve_s.mean()):.4f}s, mean Newton iterations "
-          f"{float(log.iterations.mean()):.1f}, unconverged steps: {n_bad}")
+          f"{float(log.iterations.mean()):.1f}, step solve median "
+          f"{float(np.median(step_ms)):.1f} ms and max {float(step_ms.max()):.1f} ms, "
+          f"steps over the {1e3 * log.dt:g} ms period: {n_late}, "
+          f"unconverged steps: {n_bad}")
     if args.plot_data:
         for path in emit_plotdata(log, args.plot_data):
             print(f"plot data: {path}")

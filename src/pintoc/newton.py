@@ -42,7 +42,8 @@ from .problem import (
 )
 
 ALPHA_MAX = 1e12
-ALPHA_MIN = 1e-6  # weight a rejected step at alpha == 0 is retried with
+ALPHA_MIN = 1e-6  # smallest nonzero weight: a rejected step at alpha == 0 is
+                  # retried with it, and a warm MPC step (run_mpc) starts at it
 NU0 = 2.0         # growth factor of alpha at the first of consecutive rejections
 
 TERM_COST = "converged_cost"

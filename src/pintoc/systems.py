@@ -315,7 +315,7 @@ class CartPoleDynamics(JetDynamics):
         mp, mc, length, grav = p.pole_mass, p.cart_mass, p.pole_length, p.gravity
         s, c = _sin(theta), _cos(theta)
         den = mc + mp * s * s
-        cart_acc = (force + mp * s * (length * omega + grav * c)) / den
+        cart_acc = (force + mp * s * (length * (omega * omega) + grav * c)) / den
         pole_acc = (-force * c - mp * length * (omega * omega) * c * s
                     - (mc + mp) * grav * s) / (length * den)
         return [pos + p.dt * vel, theta + p.dt * omega,

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from pintoc.bench import (
 )
 from pintoc.cli import EXIT_CONFIG, EXIT_OK, main, read_config_file
 from pintoc.exceptions import PintocError
+from pintoc.newton import ALPHA_MIN
 
 FAST = dict(horizons=(8, 12), repetitions=2, total_time=0.8,
             inner_tol=1e-6, max_inner=300)
@@ -126,37 +128,52 @@ def test_mpc_carries_barrier_weight_across_steps(monkeypatch):
                     sim_time=0.2, frequency=50.0, mpc_horizon=10,
                     mpc_start=(0.4, 0.0), inner_tol=1e-6, max_inner=60)
     failing_step = 4
-    calls = []  # (opts.mu0, report) per step; the report is None where it raised
+    # (opts.mu0, opts.newton.alpha0, report) per step; the report is None
+    # where it raised
+    calls = []
     original = bench.barrier_solve
 
     def recording(problem, initial, opts):
         if len(calls) == failing_step:
-            calls.append((opts.mu0, None))
+            calls.append((opts.mu0, opts.newton.alpha0, None))
             raise PintocError("made to fail")
         traj, report = original(problem, initial, opts)
-        calls.append((opts.mu0, report))
+        calls.append((opts.mu0, opts.newton.alpha0, report))
         return traj, report
 
     monkeypatch.setattr(bench, "barrier_solve", recording)
     log = run_mpc(cfg)
     assert len(calls) == log.steps == 10
-    mu0s, reports = zip(*calls)
-    assert mu0s[0] == cfg.mu0
+    mu0s, alpha0s, reports = zip(*calls)
+    assert (mu0s[0], alpha0s[0]) == (cfg.mu0, cfg.alpha0)
     assert len(reports[0].rounds) > 1
     warm_steps = 0
-    for before, mu0, report in zip(reports, mu0s[1:], reports[1:]):
+    for before, mu0, alpha0, report in zip(reports, mu0s[1:], alpha0s[1:], reports[1:]):
         if before is not None and before.converged:
             warm_steps += 1
             assert mu0 == before.rounds[-1].weight
+            assert alpha0 == ALPHA_MIN
             if report is not None:
                 assert len(report.rounds) == 1
         else:
-            assert mu0 == cfg.mu0
+            assert (mu0, alpha0) == (cfg.mu0, cfg.alpha0)
     assert warm_steps == log.steps - 2  # all but the first and the one after the failure
     assert len(reports[failing_step + 1].rounds) == len(reports[0].rounds)
     assert not log.converged[failing_step]
     assert log.iterations.tolist() == [0 if r is None else r.inner_iterations
                                        for r in reports]
+
+
+def test_mpc_warm_steps_take_few_newton_iterations():
+    # the benchmark's cart-pole episode: once the pole has settled, a warm
+    # step starts at the optimum it already holds and needs about two
+    # iterations, where a start at alpha0 = 1 spends ten walking alpha down
+    cfg = RunConfig(system="cartpole", solver="barrier", seed=0, mpc_horizon=60,
+                    frequency=100.0, sim_time=0.4)
+    log = run_mpc(cfg)
+    assert log.steps == 40
+    assert log.converged.all()
+    assert log.iterations[20:].max() <= 3
 
 
 def test_mpc_deterministic_rerun():
@@ -328,6 +345,25 @@ def test_cli_bench_smoke(tmp_path, capsys):
     records = read_benchmark_csv(out)
     assert len(records) == 1 and records[0].converged
     assert (tmp_path / "runtime_vs_horizon.csv").exists()
+
+
+def test_cli_mpc_reports_latency_against_the_period(tmp_path, capsys):
+    out = tmp_path / "mpc.csv"
+    code = main(["mpc", "--system", "pendulum", "--sim-time", "0.1",
+                 "--frequency", "50", "--mpc-horizon", "10", "--mpc-start", "0.4, 0",
+                 "--out", str(out), "--strict"])
+    assert code == EXIT_OK
+    summary = capsys.readouterr().out.splitlines()[-1]
+    match = re.search(r"step solve median ([\d.]+) ms and max ([\d.]+) ms, "
+                      r"steps over the 20 ms period: (\d+), unconverged steps: 0$",
+                      summary)
+    assert match, summary
+    with open(out) as handle:
+        solve_s = np.array([float(row["solve_s"]) for row in csv.DictReader(handle)])
+    assert len(solve_s) == 5
+    assert float(match[1]) == pytest.approx(1e3 * np.median(solve_s), abs=0.06)
+    assert float(match[2]) == pytest.approx(1e3 * solve_s.max(), abs=0.06)
+    assert int(match[3]) == np.count_nonzero(solve_s > 1 / 50)
 
 
 def test_cli_bad_config_exit_code(tmp_path):

@@ -18,6 +18,7 @@ from pintoc import (
     QuadraticCost,
     SolverStalledError,
     ZeroAugmentation,
+    barrier_solve,
     gain_ratio,
     make_swingup_problem,
     newton_solve,
@@ -94,6 +95,22 @@ def test_already_optimal_terminates_immediately(rng):
     assert report.iterations == 1
     assert report.history[0].step_norm <= 1e-8
     assert report.termination == "converged_step"
+
+
+@pytest.mark.parametrize("system, n", [("cartpole", 60), ("pendulum", 40)])
+def test_restart_at_converged_barrier_solution_ends_in_one_iteration(system, n):
+    # a warm MPC step starts at ALPHA_MIN next to an optimum it already
+    # holds: its first step must end the solve as converged, not start a
+    # run of rounding-noise rejections
+    cfg = RunConfig(system=system, seed=0, horizons=(n,))
+    prob = cfg.build_problem(n, cfg.step_size(n))
+    init = rollout(prob.dynamics, swingup_start(system),
+                   draw_initial_controls(prob, cfg, n, 0))
+    traj, outer_report = barrier_solve(prob, init, cfg.barrier_options())
+    assert outer_report.converged
+    _, report = newton_solve(prob.dynamics, prob.cost, outer_report.final, traj,
+                             NewtonOptions(alpha0=pintoc.newton.ALPHA_MIN))
+    assert report.iterations == 1 and report.converged
 
 
 def test_small_steps_after_rejections_are_not_convergence(rng, monkeypatch):

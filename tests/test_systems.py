@@ -68,8 +68,6 @@ def test_cartpole_quarter_turn_accelerations():
     assert np.isclose(nxt[0], 0.0) and np.isclose(nxt[1], np.pi / 2)
 
 
-@pytest.mark.xfail(strict=True, reason="cart numerator of CartPoleDynamics.step has "
-                   "l*omega where the textbook cart-pole has l*omega**2")
 def test_cartpole_centripetal_cart_acceleration():
     # at theta = pi/2, zero force, the cart is pushed only by the pole's
     # centripetal term: mp*l*omega^2 / (mc + mp) (Tedrake, Underactuated
